@@ -50,10 +50,8 @@ from .compensator import (
     averaged_gaussian_kernel,
     build_curve,
     compensator_curve,
-    ensemble_summary,
     indicator_curve,
     laplacian_approximation,
-    martingale_residual,
     parse_functional,
 )
 from .paths import (

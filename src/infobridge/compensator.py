@@ -12,8 +12,9 @@ local-time curve, together with the window approximation
 
     K^h_t = integral of (1/h) P(default in (s, s+h) | state at s) ds
 
-whose h -> 0 limit recovers K, and the Monte Carlo machinery (martingale
-residuals, ensemble summaries) used to verify the compensator property.
+whose h -> 0 limit recovers K.  It also holds the test functionals and the
+EnsembleReport with its gate verdict; the reductions that fill the report
+work on the ensemble's statistics table (``ensemble.summarize_table``).
 """
 
 import math
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laws
-from .errors import DomainError, InsufficientPaths
+from .errors import DomainError
 from .paths import TimeGrid
 from .quadrature import integrate_finite
 
@@ -30,24 +31,22 @@ __all__ = [
     "CompensatorCurve",
     "indicator_curve",
     "compensator_curve",
+    "path_weights",
     "laplacian_approximation",
     "averaged_gaussian_kernel",
     "build_curve",
     "parse_functional",
-    "martingale_residual",
-    "ensemble_summary",
     "EnsembleReport",
 ]
 
 
 @dataclass(frozen=True)
 class CompensatorCurve:
-    """Per-path curves on the path grid: indicator, survivor flag, compensator."""
+    """Per-path curves on the path grid: indicator, compensator, windows."""
 
     grid: TimeGrid
     tau: float
     H: np.ndarray
-    G: np.ndarray
     K: np.ndarray
     Kh: dict = field(default_factory=dict)
 
@@ -83,6 +82,18 @@ def compensator_curve(path, lt, ctx, weights=None):
     incr = weights[:-1] * np.diff(lt.values)
     incr[0] = 0.0
     return np.concatenate([[0.0], np.cumsum(incr)])
+
+
+def path_weights(weights, path):
+    """Compensator weights on the base knots, moved onto the path's grid.
+
+    A path that defaults between knots carries its default time as an extra
+    knot.  That knot gets weight zero: the local time is frozen from the
+    default on, so the weight there never meets a nonzero increment.
+    """
+    if len(path.grid.knots) == len(weights):
+        return weights
+    return np.insert(weights, path.grid.index_of(path.tau), 0.0)
 
 
 def laplacian_approximation(path, h, ctx):
@@ -131,19 +142,15 @@ def averaged_gaussian_kernel(h, x, spec=None):
     return val / h
 
 
-def build_curve(path, lt, ctx, h_values=(), weights=None, zero_k=False):
+def build_curve(path, lt, ctx, h_values=(), weights=None):
     """Assemble the per-path curve bundle (indicator, compensator, windows)."""
-    H = indicator_curve(path)
-    if zero_k:
-        K = np.zeros_like(H)
-    else:
-        K = compensator_curve(path, lt, ctx, weights=weights)
+    K = compensator_curve(path, lt, ctx, weights=weights)
     Kh = {h: laplacian_approximation(path, h, ctx) for h in h_values}
-    return CompensatorCurve(path.grid, path.tau, H, 1.0 - H, K, Kh)
+    return CompensatorCurve(path.grid, path.tau, indicator_curve(path), K, Kh)
 
 
 # ---------------------------------------------------------------------------
-# ensemble reductions
+# martingale tests: functionals and the gate verdict
 # ---------------------------------------------------------------------------
 
 def parse_functional(text):
@@ -163,35 +170,6 @@ def parse_functional(text):
     raise DomainError(f"unknown functional {text!r}")
 
 
-def _min_paths(n):
-    if n < 100:
-        raise InsufficientPaths(f"need at least 100 paths, got {n}")
-
-
-def martingale_residual(ensemble, s, t, functional):
-    """Monte Carlo test statistic for the compensated-indicator martingale.
-
-    ``ensemble`` is a sequence of (InformationPath, CompensatorCurve) pairs;
-    the statistic is the sample mean of ((H_t - K_t) - (H_s - K_s)) * Z_s
-    with Z_s the chosen functional of the information value at s, returned
-    with its standard error.  Small for every adapted functional exactly when
-    K compensates H.
-    """
-    if not (0.0 < s < t):
-        raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
-    pairs = list(ensemble)
-    _min_paths(len(pairs))
-    label, fn = functional if isinstance(functional, tuple) else parse_functional(functional)
-    ys = np.empty(len(pairs))
-    for i, (path, curve) in enumerate(pairs):
-        g = curve.grid
-        mart_t = curve.at(curve.H, t) - curve.at(curve.K, t)
-        mart_s = curve.at(curve.H, s) - curve.at(curve.K, s)
-        z = fn(np.asarray(path.beta[g.index_of(s)]))
-        ys[i] = (mart_t - mart_s) * float(z)
-    return float(ys.mean()), float(ys.std(ddof=1) / math.sqrt(len(ys)))
-
-
 @dataclass(frozen=True)
 class EnsembleReport:
     """Cross-path summary: per-time means/errors and the residual test table."""
@@ -207,50 +185,27 @@ class EnsembleReport:
     # residual rows: (s, t, label, residual, stderr, passed)
     gate_multiplier: float = 3.0
 
+    def gates(self):
+        """Verdict on the mean gates, one ``(kind, j, gap, bound, ok)`` row each.
+
+        For report time ``times[j]``, kind ``"F"`` compares |mean_K - F(t)|
+        with ``gate_multiplier`` standard errors of mean_K, and kind ``"H"``
+        compares |mean_K - mean_H| with ``gate_multiplier`` combined standard
+        errors.  A gate passes when its gap is at most its bound, so a NaN gap
+        fails.  Residual gates are decided where the residuals are reduced
+        and carried in ``residuals``.
+        """
+        mult = self.gate_multiplier
+        rows = []
+        for j in range(len(self.times)):
+            gap = abs(self.mean_K[j] - self.F[j])
+            bound = mult * self.stderr_K[j]
+            rows.append(("F", j, gap, bound, bool(gap <= bound)))
+            gap = abs(self.mean_K[j] - self.mean_H[j])
+            bound = mult * math.hypot(self.stderr_H[j], self.stderr_K[j])
+            rows.append(("H", j, gap, bound, bool(gap <= bound)))
+        return rows
+
     def all_gates_pass(self):
-        for k in range(len(self.times)):
-            if abs(self.mean_K[k] - self.F[k]) > self.gate_multiplier * self.stderr_K[k]:
-                return False
-            comb = math.hypot(self.stderr_H[k], self.stderr_K[k])
-            if abs(self.mean_K[k] - self.mean_H[k]) > self.gate_multiplier * comb:
-                return False
-        return all(row[5] for row in self.residuals)
-
-
-def ensemble_summary(ensemble, report_times, ctx, residual_matrix=(),
-                     functionals=("one",), gate_multiplier=3.0):
-    """Summarize an ensemble of (path, curve) pairs at the report times.
-
-    ``residual_matrix`` is a sequence of (s, t) pairs; every configured
-    functional is tested on each pair.  Gates compare |mean_K - F(t)| and
-    |mean_K - mean_H| against ``gate_multiplier`` standard errors, and each
-    residual against its own standard error.
-    """
-    pairs = list(ensemble)
-    if not pairs:
-        raise InsufficientPaths("empty ensemble")
-    times = np.asarray(report_times, dtype=float)
-    n = len(pairs)
-    hs = np.empty((n, len(times)))
-    ks = np.empty((n, len(times)))
-    for i, (_, curve) in enumerate(pairs):
-        for j, t in enumerate(times):
-            hs[i, j] = curve.at(curve.H, t)
-            ks[i, j] = curve.at(curve.K, t)
-    rows = []
-    for (s, t) in residual_matrix:
-        for spec in functionals:
-            label, fn = parse_functional(spec) if isinstance(spec, str) else spec
-            res, se = martingale_residual(pairs, s, t, (label, fn))
-            rows.append((s, t, label, res, se, abs(res) <= gate_multiplier * se))
-    return EnsembleReport(
-        times=times,
-        mean_H=hs.mean(axis=0),
-        mean_K=ks.mean(axis=0),
-        F=np.asarray(ctx.dist.cdf_F(times), dtype=float),
-        stderr_H=hs.std(axis=0, ddof=1) / math.sqrt(n),
-        stderr_K=ks.std(axis=0, ddof=1) / math.sqrt(n),
-        n_paths=n,
-        residuals=rows,
-        gate_multiplier=gate_multiplier,
-    )
+        return (all(row[4] for row in self.gates())
+                and all(row[5] for row in self.residuals))

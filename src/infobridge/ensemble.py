@@ -8,23 +8,27 @@ the worker count, and blocks are written back by chunk index, so the
 assembled arrays — and every CSV derived from them — are bit-identical no
 matter how many processes run the job.
 
-Reductions (means, standard errors, martingale residuals) reuse the exact
-formulas of the per-path module and are cross-checked against them in the
-tests.
+The reductions (means, standard errors, martingale residuals) work on the
+assembled table; they are the only route from paths to an EnsembleReport.
 """
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import laws
-from .compensator import parse_functional
-from .errors import DomainError, InsufficientPaths
+from .compensator import (
+    EnsembleReport,
+    compensator_curve,
+    laplacian_approximation,
+    parse_functional,
+    path_weights,
+)
+from .errors import ConfigError, DomainError, InsufficientPaths
 from .localtime import BandCreditTable, occupation_estimate, tanaka_estimate
 from .paths import RandomStream, sample_path_direct
-from .compensator import EnsembleReport, laplacian_approximation
 
 __all__ = [
     "EnsembleJob",
@@ -65,20 +69,31 @@ class EnsembleJob:
     lt_probe: tuple = ()                # (t, x) pairs for estimator cross-probes
 
 
+def _per_path(*dims):
+    """A table field with one row per path; ``dims`` name the job tuples whose
+    lengths give the shape of a row."""
+    return field(metadata={"dims": dims})
+
+
 @dataclass
 class EnsembleTable:
     """Struct-of-arrays holding one row of statistics per path."""
 
     job: EnsembleJob
-    tau: np.ndarray
-    H: np.ndarray        # (n, len(times))
-    K: np.ndarray        # (n, len(times))
-    beta: np.ndarray     # (n, len(s_nodes))
-    Kh: np.ndarray       # (n, len(kh), len(times))
-    b: np.ndarray        # (n, len(b_nodes))
-    qv_b: np.ndarray     # (n, len(qv_nodes))
-    lt_occ: np.ndarray   # (n, len(lt_probe))
-    lt_tan: np.ndarray   # (n, len(lt_probe))
+    tau: np.ndarray = _per_path()
+    H: np.ndarray = _per_path("times")
+    K: np.ndarray = _per_path("times")
+    beta: np.ndarray = _per_path("s_nodes")
+    Kh: np.ndarray = _per_path("kh", "times")
+    b: np.ndarray = _per_path("b_nodes")
+    qv_b: np.ndarray = _per_path("qv_nodes")
+    lt_occ: np.ndarray = _per_path("lt_probe")
+    lt_tan: np.ndarray = _per_path("lt_probe")
+
+    @classmethod
+    def empty(cls, job, n):
+        """Table for ``n`` paths of ``job`` with its arrays left unfilled."""
+        return cls(job=job, **_empty_block(job, n))
 
     @property
     def n_paths(self):
@@ -120,15 +135,17 @@ def build_job(ctx, grid, cfg_like):
     )
 
 
-def _path_row(job, i):
-    """All recorded statistics of path ``i``."""
+def _empty_block(job, n):
+    """Unfilled ``(n, ...)`` arrays, one per per-path field of EnsembleTable."""
+    return {f.name: np.empty((n,) + tuple(len(getattr(job, d))
+                                          for d in f.metadata["dims"]))
+            for f in fields(EnsembleTable) if "dims" in f.metadata}
+
+
+def _path_row(job, i, block, k):
+    """Record the statistics of path ``i`` in row ``k`` of ``block``."""
     path = sample_path_direct(job.ctx, job.grid, RandomStream(job.master_seed, i))
     knots = path.grid.knots
-    if len(knots) != len(job.grid.knots):
-        pos = path.grid.index_of(path.tau)
-        weights = np.insert(job.weights, pos, 0.0)
-    else:
-        weights = job.weights
     if job.estimator == "tanaka":
         lt = tanaka_estimate(path, 0.0)
     else:
@@ -137,44 +154,29 @@ def _path_row(job, i):
     if job.zero_k:
         kcum = np.zeros(len(knots))
     else:
-        kincr = weights[:-1] * np.diff(lt.values)
-        kincr[0] = 0.0
-        kcum = np.concatenate([[0.0], np.cumsum(kincr)])
+        kcum = compensator_curve(path, lt, job.ctx,
+                                 weights=path_weights(job.weights, path))
 
-    t_idx = np.searchsorted(knots, np.asarray(job.times))
-    row = {
-        "tau": path.tau,
-        "H": (np.asarray(job.times) >= path.tau).astype(float),
-        "K": kcum[t_idx],
-        "beta": path.beta[np.searchsorted(knots, np.asarray(job.s_nodes))]
-        if job.s_nodes else np.empty(0),
-    }
-    if job.kh:
-        kh = np.empty((len(job.kh), len(job.times)))
-        for a, h in enumerate(job.kh):
-            kh[a] = laplacian_approximation(path, h, job.ctx)[t_idx]
-        row["Kh"] = kh
+    times = np.asarray(job.times)
+    t_idx = np.searchsorted(knots, times)
+    block["tau"][k] = path.tau
+    block["H"][k] = times >= path.tau
+    block["K"][k] = kcum[t_idx]
+    block["beta"][k] = path.beta[np.searchsorted(knots, np.asarray(job.s_nodes))]
+    for a, h in enumerate(job.kh):
+        block["Kh"][k, a] = laplacian_approximation(path, h, job.ctx)[t_idx]
     if job.drift_table is not None:
         from .paths import recover_b
         b = recover_b(path, job.ctx, drift_table=job.drift_table)
-        row["b"] = b[np.searchsorted(knots, np.asarray(job.b_nodes))] \
-            if job.b_nodes else np.empty(0)
+        block["b"][k] = b[np.searchsorted(knots, np.asarray(job.b_nodes))]
         if job.qv_nodes:
             d = np.diff(b)
             qv = np.concatenate([[0.0], np.cumsum(d * d)])
-            row["qv_b"] = qv[np.searchsorted(knots, np.asarray(job.qv_nodes))]
-        else:
-            row["qv_b"] = np.empty(0)
-    if job.lt_probe:
-        occ = np.empty(len(job.lt_probe))
-        tan = np.empty(len(job.lt_probe))
-        for a, (t, x) in enumerate(job.lt_probe):
-            j = path.grid.index_of(t)
-            occ[a] = occupation_estimate(path, x, job.eps).values[j]
-            tan[a] = tanaka_estimate(path, x).values[j]
-        row["lt_occ"] = occ
-        row["lt_tan"] = tan
-    return row
+            block["qv_b"][k] = qv[np.searchsorted(knots, np.asarray(job.qv_nodes))]
+    for a, (t, x) in enumerate(job.lt_probe):
+        j = path.grid.index_of(t)
+        block["lt_occ"][k, a] = occupation_estimate(path, x, job.eps).values[j]
+        block["lt_tan"][k, a] = tanaka_estimate(path, x).values[j]
 
 
 _JOB = None
@@ -187,32 +189,9 @@ def _set_job(job):
 
 def _run_chunk(bounds):
     start, stop = bounds
-    job = _JOB
-    nt, ns = len(job.times), len(job.s_nodes)
-    n = stop - start
-    block = {
-        "tau": np.empty(n), "H": np.empty((n, nt)), "K": np.empty((n, nt)),
-        "beta": np.empty((n, ns)),
-        "Kh": np.empty((n, len(job.kh), nt)),
-        "b": np.empty((n, len(job.b_nodes))),
-        "qv_b": np.empty((n, len(job.qv_nodes))),
-        "lt_occ": np.empty((n, len(job.lt_probe))),
-        "lt_tan": np.empty((n, len(job.lt_probe))),
-    }
+    block = _empty_block(_JOB, stop - start)
     for k, i in enumerate(range(start, stop)):
-        row = _path_row(job, i)
-        block["tau"][k] = row["tau"]
-        block["H"][k] = row["H"]
-        block["K"][k] = row["K"]
-        block["beta"][k] = row["beta"]
-        if job.kh:
-            block["Kh"][k] = row["Kh"]
-        if job.drift_table is not None:
-            block["b"][k] = row["b"]
-            block["qv_b"][k] = row["qv_b"]
-        if job.lt_probe:
-            block["lt_occ"][k] = row["lt_occ"]
-            block["lt_tan"][k] = row["lt_tan"]
+        _path_row(_JOB, i, block, k)
     return start, block
 
 
@@ -222,36 +201,30 @@ def resolve_workers(explicit=None):
         return max(1, int(explicit))
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
 def run_ensemble(job, n_paths, workers=None):
-    """Run ``n_paths`` paths of the job; bit-identical for any worker count."""
+    """Run ``n_paths`` paths of the job; bit-identical for any worker count.
+
+    The pool never has more workers than there are chunks.
+    """
     if n_paths < 1:
         raise InsufficientPaths("need at least one path")
-    workers = resolve_workers(workers)
     chunks = [(a, min(a + _CHUNK, n_paths)) for a in range(0, n_paths, _CHUNK)]
-    nt, ns = len(job.times), len(job.s_nodes)
-    table = EnsembleTable(
-        job=job,
-        tau=np.empty(n_paths),
-        H=np.empty((n_paths, nt)),
-        K=np.empty((n_paths, nt)),
-        beta=np.empty((n_paths, ns)),
-        Kh=np.empty((n_paths, len(job.kh), nt)),
-        b=np.empty((n_paths, len(job.b_nodes))),
-        qv_b=np.empty((n_paths, len(job.qv_nodes))),
-        lt_occ=np.empty((n_paths, len(job.lt_probe))),
-        lt_tan=np.empty((n_paths, len(job.lt_probe))),
-    )
+    workers = min(resolve_workers(workers), len(chunks))
+    table = EnsembleTable.empty(job, n_paths)
 
     def paste(start, block):
         stop = start + len(block["tau"])
-        for name in ("tau", "H", "K", "beta", "Kh", "b", "qv_b", "lt_occ", "lt_tan"):
-            getattr(table, name)[start:stop] = block[name]
+        for name, rows in block.items():
+            getattr(table, name)[start:stop] = rows
 
-    if workers <= 1 or len(chunks) <= 1:
+    if workers <= 1:
         _set_job(job)
         for bounds in chunks:
             paste(*_run_chunk(bounds))
@@ -269,18 +242,21 @@ def run_ensemble(job, n_paths, workers=None):
 # reductions
 # ---------------------------------------------------------------------------
 
-def table_martingale_residual(table, s, t, functional, zero_k=False):
-    """Martingale residual from a statistics table (same formula as the
-    pairwise version in the compensator module)."""
+def table_martingale_residual(table, s, t, functional):
+    """Monte Carlo test statistic for the compensated-indicator martingale.
+
+    The sample mean over paths of ((H_t - K_t) - (H_s - K_s)) * Z_s, with Z_s
+    the chosen functional of the information value at s, returned with its
+    standard error.  Small for every adapted functional exactly when K
+    compensates H.
+    """
     if not (0.0 < s < t):
         raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
     _check_paths(table.n_paths)
     label, fn = functional if isinstance(functional, tuple) else parse_functional(functional)
     js, jt = table.time_index(s), table.time_index(t)
-    k_s = np.zeros(table.n_paths) if zero_k else table.K[:, js]
-    k_t = np.zeros(table.n_paths) if zero_k else table.K[:, jt]
     z = fn(table.beta[:, table.s_index(s)])
-    ys = ((table.H[:, jt] - k_t) - (table.H[:, js] - k_s)) * z
+    ys = ((table.H[:, jt] - table.K[:, jt]) - (table.H[:, js] - table.K[:, js])) * z
     return float(ys.mean()), float(ys.std(ddof=1) / math.sqrt(len(ys)))
 
 
@@ -291,7 +267,12 @@ def _check_paths(n):
 
 def summarize_table(table, ctx, report_times, residual_matrix=(),
                     functionals=("one",), gate_multiplier=3.0):
-    """EnsembleReport from a statistics table."""
+    """EnsembleReport from a statistics table at the report times.
+
+    ``residual_matrix`` is a sequence of (s, t) pairs; every configured
+    functional is tested on each pair, and a residual passes when it is at
+    most ``gate_multiplier`` standard errors from zero.
+    """
     if table.n_paths < 1:
         raise InsufficientPaths("empty ensemble")
     times = np.asarray(report_times, dtype=float)

@@ -163,3 +163,10 @@ def test_missing_config_file_is_io_error(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                "--out", str(tmp_path)])
     assert rc == 3
+
+
+def test_non_integer_worker_count_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("INFOBRIDGE_WORKERS", "abc")
+    cfg = _compensator_cfg(tmp_path, paths="200")
+    assert main(["compensator", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "INFOBRIDGE_WORKERS" in capsys.readouterr().err

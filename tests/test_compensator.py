@@ -1,21 +1,28 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from infobridge import laws
+from infobridge.cli import _gate_lines
 from infobridge.compensator import (
+    EnsembleReport,
     averaged_gaussian_kernel,
-    build_curve,
     compensator_curve,
-    ensemble_summary,
     indicator_curve,
     laplacian_approximation,
-    martingale_residual,
     parse_functional,
 )
+from infobridge.config import RunConfig
 from infobridge.distributions import DefaultDistribution
+from infobridge.ensemble import (
+    EnsembleTable,
+    build_job,
+    run_ensemble,
+    summarize_table,
+    table_martingale_residual,
+)
 from infobridge.errors import DomainError, InsufficientPaths
 from infobridge.laws import ModelContext
 from infobridge.localtime import occupation_estimate
@@ -39,21 +46,23 @@ def ctx_exp():
     return ModelContext(DefaultDistribution.exponential(1.0))
 
 
-def _ensemble(ctx, n, dt=2e-3, t_max=1.0, seed=5150, zero_k=False, h_values=()):
-    grid = TimeGrid.regular(t_max, dt)
-    eps = math.sqrt(dt)
-    weights_base = laws.compensator_weights(ctx, grid.knots, dt)
-    pairs = []
-    for i in range(n):
-        p = sample_path_direct(ctx, grid, RandomStream(seed, i))
-        if len(p.grid.knots) != len(grid.knots):
-            w = laws.compensator_weights(ctx, p.grid.knots, dt)
-        else:
-            w = weights_base
-        lt = occupation_estimate(p, 0.0, eps)
-        pairs.append((p, build_curve(p, lt, ctx, h_values=h_values,
-                                     weights=w, zero_k=zero_k)))
-    return pairs
+def _job(ctx, dt=2e-3, t_max=1.0, seed=5150, zero_k=False, kh=()):
+    # eps = sqrt(dt) on the exact (table-less) occupation route.
+    cfg = RunConfig(dt=dt, t_max=t_max, seed=seed, lt_eps_coeff=1.0,
+                    lt_eps_power=0.5, report_times=(0.5, 1.0),
+                    residual_pairs=((0.5, 1.0),), kh=kh, zero_k=zero_k)
+    job = build_job(ctx, TimeGrid.regular(t_max, dt), cfg)
+    return replace(job, credit_table=None)
+
+
+@pytest.fixture(scope="module")
+def table_2000(ctx_exp):
+    return run_ensemble(_job(ctx_exp), 2000, workers=1)
+
+
+@pytest.fixture(scope="module")
+def table_zero_k(ctx_exp):
+    return run_ensemble(_job(ctx_exp, zero_k=True), 400, workers=1)
 
 
 # -- compensator along one path -------------------------------------------------
@@ -85,9 +94,8 @@ def test_compensator_frozen_after_default(ctx_exp):
     assert np.all(np.diff(k) >= 0.0)
 
 
-def test_compensator_mean_tracks_default_probability(ctx_exp):
-    pairs = _ensemble(ctx_exp, 2000)
-    k1 = np.array([c.at(c.K, 1.0) for _, c in pairs])
+def test_compensator_mean_tracks_default_probability(table_2000):
+    k1 = table_2000.K[:, table_2000.time_index(1.0)]
     se = k1.std(ddof=1) / math.sqrt(len(k1))
     target = 1.0 - math.exp(-1.0)
     assert abs(k1.mean() - target) <= 3.0 * se
@@ -124,8 +132,8 @@ def test_window_approximation_mean_matches_window_probability(ctx_exp):
     # E[K^h_t] = (1/h) integral over s in (0,t] of (F(s+h) - F(s)) ds, up to
     # O(dt) time discretization; check within Monte Carlo error.
     h, t = 0.2, 1.0
-    pairs = _ensemble(ctx_exp, 500, dt=5e-3, h_values=(h,))
-    vals = np.array([c.at(c.Kh[h], t) for _, c in pairs])
+    table = run_ensemble(_job(ctx_exp, dt=5e-3, kh=(h,)), 500, workers=1)
+    vals = table.Kh[:, 0, table.time_index(t)]
     f = ctx_exp.dist.cdf_F
     target, _ = integrate_finite(lambda s: (f(s + h) - f(s)) / h, 0.0, t)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -180,32 +188,29 @@ def test_kernel_domain():
 
 # -- martingale residuals and summaries ---------------------------------------------
 
-def test_martingale_residual_gate(ctx_exp):
-    pairs = _ensemble(ctx_exp, 2000)
+def test_martingale_residual_gate(table_2000):
     for spec in ("one", "indicator_beta_above:0.2", "abs_beta"):
-        res, se = martingale_residual(pairs, 0.5, 1.0, spec)
+        res, se = table_martingale_residual(table_2000, 0.5, 1.0, spec)
         assert abs(res) <= 3.0 * se
 
 
-def test_zero_compensator_ablation_fails_gate(ctx_exp):
-    pairs = _ensemble(ctx_exp, 400, zero_k=True)
-    res, se = martingale_residual(pairs, 0.5, 1.0, "one")
+def test_zero_compensator_ablation_fails_gate(ctx_exp, table_zero_k):
+    res, se = table_martingale_residual(table_zero_k, 0.5, 1.0, "one")
     expect = ctx_exp.dist.cdf_F(1.0) - ctx_exp.dist.cdf_F(0.5)
     assert res > 3.0 * se
     assert abs(res - expect) <= 5.0 * se
 
 
 def test_martingale_residual_requires_paths(ctx_exp):
-    pairs = _ensemble(ctx_exp, 99)
+    table = run_ensemble(_job(ctx_exp), 99, workers=1)
     with pytest.raises(InsufficientPaths):
-        martingale_residual(pairs, 0.5, 1.0, "one")
+        table_martingale_residual(table, 0.5, 1.0, "one")
 
 
-def test_ensemble_summary_tracks_distribution(ctx_exp):
-    pairs = _ensemble(ctx_exp, 2000)
-    rep = ensemble_summary(pairs, (0.5, 1.0), ctx_exp,
-                           residual_matrix=((0.5, 1.0),),
-                           functionals=("one", "abs_beta"))
+def test_ensemble_summary_tracks_distribution(ctx_exp, table_2000):
+    rep = summarize_table(table_2000, ctx_exp, (0.5, 1.0),
+                          residual_matrix=((0.5, 1.0),),
+                          functionals=("one", "abs_beta"))
     for j in range(2):
         assert abs(rep.mean_H[j] - rep.F[j]) <= 3.0 * rep.stderr_H[j]
         comb = math.hypot(rep.stderr_H[j], rep.stderr_K[j])
@@ -214,16 +219,26 @@ def test_ensemble_summary_tracks_distribution(ctx_exp):
     assert len(rep.residuals) == 2
 
 
-def test_ensemble_summary_ablation_fails(ctx_exp):
-    pairs = _ensemble(ctx_exp, 400, zero_k=True)
-    rep = ensemble_summary(pairs, (1.0,), ctx_exp,
-                           residual_matrix=((0.5, 1.0),), functionals=("one",))
+def test_ensemble_summary_ablation_fails(ctx_exp, table_zero_k):
+    rep = summarize_table(table_zero_k, ctx_exp, (1.0,),
+                          residual_matrix=((0.5, 1.0),), functionals=("one",))
     assert not rep.all_gates_pass()
 
 
-def test_ensemble_summary_empty():
+def test_ensemble_summary_empty(ctx_exp):
     with pytest.raises(InsufficientPaths):
-        ensemble_summary([], (1.0,), ModelContext(DefaultDistribution.exponential(1.0)))
+        summarize_table(EnsembleTable.empty(_job(ctx_exp), 0), ctx_exp, (1.0,))
+
+
+def test_nan_mean_fails_gates():
+    # A NaN gap must fail its gate, in the verdict and in the report lines.
+    one = np.array([0.1])
+    rep = EnsembleReport(times=np.array([1.0]), mean_H=one, mean_K=np.array([np.nan]),
+                         F=one, stderr_H=one, stderr_K=one, n_paths=100)
+    assert not rep.all_gates_pass()
+    lines, ok = _gate_lines(rep)
+    assert ok is False
+    assert [line.split()[0] for line in lines] == ["FAIL", "FAIL"]
 
 
 def test_parse_functional():

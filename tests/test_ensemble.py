@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from infobridge import laws
-from infobridge.compensator import build_curve, ensemble_summary, martingale_residual
+from infobridge.compensator import build_curve
 from infobridge.config import RunConfig
 from infobridge.distributions import DefaultDistribution
 from infobridge.ensemble import (
@@ -72,30 +72,25 @@ def test_table_matches_per_path_module(ctx, job, table):
             assert p.beta[p.grid.index_of(s)] == table.beta[i, j]
 
 
-def test_summaries_agree_between_routes(ctx, job, table):
-    pairs = []
-    grid = TimeGrid.regular(CFG.t_max, CFG.dt)
-    eps = CFG.lt_eps_coeff * CFG.dt ** 0.5
-    for i in range(150):
-        p = sample_path_direct(ctx, grid, RandomStream(CFG.seed, i))
-        w = (np.insert(job.weights, p.grid.index_of(p.tau), 0.0)
-             if len(p.grid.knots) != len(grid.knots) else job.weights)
-        lt = occupation_estimate(p, 0.0, eps, credit_table=job.credit_table)
-        pairs.append((p, build_curve(p, lt, ctx, weights=w)))
-    res_pair = martingale_residual(pairs, 0.5, 1.0, "one")
+def test_summary_matches_numpy_oracle(ctx, table):
+    # The reductions against direct sums over the table's columns.
+    n = table.n_paths
+    js, jt = table.time_index(0.5), table.time_index(1.0)
+    y = (table.H[:, jt] - table.K[:, jt]) - (table.H[:, js] - table.K[:, js])
+    z = np.abs(table.beta[:, table.s_index(0.5)])
+    for spec, ys in (("one", y), ("abs_beta", y * z)):
+        mean = ys.sum() / n
+        se = math.sqrt(((ys - mean) ** 2).sum() / (n - 1) / n)
+        res = table_martingale_residual(table, 0.5, 1.0, spec)
+        assert res == pytest.approx((mean, se), rel=1e-12, abs=1e-15)
 
-    sub = run_ensemble(job, 150, workers=1)
-    res_tab = table_martingale_residual(sub, 0.5, 1.0, "one")
-    assert res_pair == pytest.approx(res_tab, rel=1e-12)
-
-    rep_pair = ensemble_summary(pairs, (0.5, 1.0), ctx,
-                                residual_matrix=((0.5, 1.0),),
-                                functionals=("one",))
-    rep_tab = summarize_table(sub, ctx, (0.5, 1.0),
-                              residual_matrix=((0.5, 1.0),),
-                              functionals=("one",))
-    np.testing.assert_allclose(rep_pair.mean_K, rep_tab.mean_K, rtol=1e-14)
-    np.testing.assert_allclose(rep_pair.stderr_H, rep_tab.stderr_H, rtol=1e-12)
+    rep = summarize_table(table, ctx, (0.5, 1.0))
+    cols = table.H[:, [js, jt]], table.K[:, [js, jt]]
+    means = [c.sum(axis=0) / n for c in cols]
+    np.testing.assert_allclose(rep.mean_K, means[1], rtol=1e-14)
+    np.testing.assert_allclose(rep.mean_H, means[0], rtol=1e-14)
+    stderr_h = np.sqrt(((cols[0] - means[0]) ** 2).sum(axis=0) / (n - 1) / n)
+    np.testing.assert_allclose(rep.stderr_H, stderr_h, rtol=1e-12)
 
 
 def test_stderr_scales_with_path_count(ctx, job):
@@ -104,6 +99,37 @@ def test_stderr_scales_with_path_count(ctx, job):
     ratio = small.stderr_K[0] / big.stderr_K[0]
     assert abs(ratio - 2.0) <= 0.4
     assert small.stderr_H[0] > 0 and big.stderr_H[0] > 0
+
+
+def test_pool_never_exceeds_chunk_count(job, table, monkeypatch):
+    # 1100 paths make three chunks; a pool of eight is clamped to three.
+    # The fake pool runs the chunks in this process.
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size, initializer, initargs):
+            sizes.append(size)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    big = run_ensemble(job, 1100, workers=8)
+    assert sizes == [3]
+    assert np.array_equal(big.K[:CFG.paths], table.K)
+    assert np.array_equal(big.tau[:CFG.paths], table.tau)
 
 
 def test_insufficient_paths(ctx, job):
