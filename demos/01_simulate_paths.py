@@ -1,9 +1,9 @@
 """Simulate information-process paths and inspect the default encoding.
 
 The information process is a Brownian bridge pinned at zero at a random
-default time.  Before the default it diffuses; from the default knot on it
-sits at exact floating-point zero, so downstream code can detect the default
-state without thresholds.
+default time.  Before the default it diffuses; from the first grid knot at
+or after the default on it sits at exact floating-point zero, so downstream
+code can detect the default state without thresholds.
 """
 
 import numpy as np

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import laws
-from .compensator import build_curve, laplacian_approximation, path_weights
+from .compensator import build_curve, laplacian_approximation
 from .config import load_config
 from .distributions import parse_distribution
 from .ensemble import (
@@ -114,7 +114,7 @@ def cmd_compensator(cfg):
     report_path = os.path.join(out, "report.txt")
     try:
         job = build_job(ctx, grid, cfg)
-        table = run_ensemble(job, cfg.paths, workers=cfg.workers or None)
+        table = run_ensemble(job, cfg.paths)
         report = summarize_table(table, ctx, cfg.report_times,
                                  residual_matrix=cfg.residual_pairs,
                                  functionals=cfg.functionals,
@@ -148,6 +148,7 @@ def cmd_convergence(cfg):
     eps = cfg.lt_eps_coeff * cfg.dt ** cfg.lt_eps_power
     weights = laws.compensator_weights(ctx, grid.knots, grid.dt)
     times = cfg.report_times
+    idx = [grid.index_of(t) for t in times]
     gaps = np.zeros((len(cfg.kh), len(times)))
     for i in range(cfg.paths):
         path = sample_path_direct(ctx, grid, RandomStream(cfg.seed, i))
@@ -155,8 +156,7 @@ def cmd_convergence(cfg):
             lt = tanaka_estimate(path, 0.0)
         else:
             lt = occupation_estimate(path, 0.0, eps)
-        curve = build_curve(path, lt, ctx, weights=path_weights(weights, path))
-        idx = [path.grid.index_of(t) for t in times]
+        curve = build_curve(path, lt, ctx, weights=weights)
         kref = curve.K[idx]
         for a, h in enumerate(cfg.kh):
             kh = laplacian_approximation(path, h, ctx)[idx]

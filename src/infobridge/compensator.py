@@ -31,7 +31,6 @@ __all__ = [
     "CompensatorCurve",
     "indicator_curve",
     "compensator_curve",
-    "path_weights",
     "laplacian_approximation",
     "averaged_gaussian_kernel",
     "build_curve",
@@ -55,7 +54,11 @@ class CompensatorCurve:
 
 
 def indicator_curve(path):
-    """Default indicator H on the path grid (1 from the default knot on)."""
+    """Default indicator H on the path grid.
+
+    1 from the first knot at or after the default time on, that is from the
+    right end of the partial step that ends at the default.
+    """
     return (path.grid.knots >= path.tau).astype(float)
 
 
@@ -84,18 +87,6 @@ def compensator_curve(path, lt, ctx, weights=None):
     return np.concatenate([[0.0], np.cumsum(incr)])
 
 
-def path_weights(weights, path):
-    """Compensator weights on the base knots, moved onto the path's grid.
-
-    A path that defaults between knots carries its default time as an extra
-    knot.  That knot gets weight zero: the local time is frozen from the
-    default on, so the weight there never meets a nonzero increment.
-    """
-    if len(path.grid.knots) == len(weights):
-        return weights
-    return np.insert(weights, path.grid.index_of(path.tau), 0.0)
-
-
 def laplacian_approximation(path, h, ctx):
     """Window approximation of the compensator with lag h.
 
@@ -109,16 +100,16 @@ def laplacian_approximation(path, h, ctx):
     if h <= 0.0:
         raise DomainError(f"window lag must be positive, got {h}")
     knots = path.grid.knots
-    steps = np.diff(knots)
-    incr = np.zeros(len(steps))
-    left = np.arange(1, len(steps))
+    spans = path.spans
+    incr = np.zeros(len(spans))
+    left = np.arange(1, len(spans))
     live = knots[left] < min(path.tau, ctx.t1)
     idx = left[live]
     if len(idx):
         rates = laws.hazard_window_rates(ctx, knots[idx], path.beta[idx], h)
-        incr[idx] = steps[idx] * rates
+        incr[idx] = spans[idx] * rates
         if knots[0] < path.tau and idx[0] == 1:
-            incr[0] = steps[0] * rates[0]
+            incr[0] = spans[0] * rates[0]
     return np.concatenate([[0.0], np.cumsum(incr)])
 
 

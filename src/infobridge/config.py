@@ -21,7 +21,6 @@ class RunConfig:
     t_max: float = 2.0
     paths: int = 1000
     seed: int = 0
-    workers: int = 0                       # 0: environment variable, else CPUs
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     tail_cutoff_mass: float = 1e-9
@@ -110,7 +109,7 @@ def _parse_value(name, text, kind):
 
 _SCHEMA = {
     "dist": "str", "dt": "float", "t_max": "float", "paths": "int",
-    "seed": "int", "workers": "int", "rel_tol": "float", "abs_tol": "float",
+    "seed": "int", "rel_tol": "float", "abs_tol": "float",
     "tail_cutoff_mass": "float", "lt_estimator": "str",
     "lt_eps_coeff": "float", "lt_eps_power": "float", "kh": "floats",
     "report_times": "floats", "residual_pairs": "pairs",

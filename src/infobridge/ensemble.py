@@ -24,7 +24,6 @@ from .compensator import (
     compensator_curve,
     laplacian_approximation,
     parse_functional,
-    path_weights,
 )
 from .errors import ConfigError, DomainError, InsufficientPaths
 from .localtime import BandCreditTable, occupation_estimate, tanaka_estimate
@@ -154,8 +153,7 @@ def _path_row(job, i, block, k):
     if job.zero_k:
         kcum = np.zeros(len(knots))
     else:
-        kcum = compensator_curve(path, lt, job.ctx,
-                                 weights=path_weights(job.weights, path))
+        kcum = compensator_curve(path, lt, job.ctx, weights=job.weights)
 
     times = np.asarray(job.times)
     t_idx = np.searchsorted(knots, times)

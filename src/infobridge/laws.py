@@ -422,9 +422,18 @@ def compensator_weights(ctx, knots, dt):
     s_eval = np.where(knots <= 0.0, dt, knots)
     w = np.zeros(knots.shape)
     live = s_eval < ctx.t1
-    dens = scaled_survivor_grid(s_eval[live], 0.0, ctx)
-    fvals = np.asarray(ctx.dist.density_f(s_eval[live]), dtype=float)
-    w[live] = np.where(dens > 0.0, fvals / np.where(dens > 0.0, dens, 1.0), 0.0)
+    w[live] = _zero_level_weights(ctx, s_eval[live])
+    return w
+
+
+def _zero_level_weights(ctx, s):
+    """f(s) / survivor_density(s, 0) at times ``s`` before the horizon; zero
+    where the survivor density is not positive."""
+    dens = scaled_survivor_grid(s, 0.0, ctx)
+    fvals = np.asarray(ctx.dist.density_f(s), dtype=float)
+    w = np.zeros(s.shape)
+    ok = dens > 0.0
+    w[ok] = fvals[ok] / dens[ok]
     return w
 
 
@@ -470,12 +479,7 @@ class DriftTable:
             s_eval[0] = s_eval[1] if len(s_eval) > 1 else ctx.t1 * 0.5
         live = s_eval < ctx.t1
         values = np.zeros((len(s_nodes), n_x))
-        dens0 = scaled_survivor_grid(s_eval[live], 0.0, ctx)
-        f_live = np.asarray(ctx.dist.density_f(s_eval[live]), dtype=float)
-        col0 = np.zeros(live.sum())
-        ok = dens0 > 0.0
-        col0[ok] = f_live[ok] / dens0[ok]
-        values[live, 0] = col0
+        values[live, 0] = _zero_level_weights(ctx, s_eval[live])
         for j, xj in enumerate(x_pos, start=1):
             den = scaled_survivor_grid(s_eval[live], xj, ctx)
             num = scaled_reversion_grid(s_eval[live], xj, ctx)

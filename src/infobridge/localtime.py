@@ -46,9 +46,6 @@ class LocalTimeCurve:
     estimator: str
     epsilon: float | None = None
 
-    def increments(self):
-        return np.diff(self.values)
-
 
 def _band_time_credits(a, b, spans, x, epsilon):
     """Expected time a Brownian bridge between the step endpoints spends in
@@ -83,7 +80,7 @@ class BandCreditTable:
     is a smooth function of the two endpoint values; large ensembles look it
     up on a two-dimensional endpoint grid (dense inside the band, step-scale
     spacing outside) instead of integrating per step.  Irregular steps (the
-    ones created by inserting the default knot) are always integrated
+    partial step that ends at the default time) are always integrated
     exactly.
     """
 
@@ -131,8 +128,8 @@ def occupation_estimate(path, x, epsilon, credit_table=None):
     its endpoint values, divided by the band width.  Deep inside the band
     this credit is the full step, far away it is zero, so the rule reduces
     to the usual band indicator away from the band edges; near the edges,
-    and in particular over the final approach into the default knot, it
-    captures the within-step excursions that knot indicators cannot see.
+    and in particular over the partial step that ends at the default time,
+    it captures the within-step excursions that knot indicators cannot see.
     Without the approach term the compensator built from this curve
     under-counts by O(sqrt(dt)) per unit default mass, far above Monte Carlo
     resolution at usable step sizes.
@@ -141,23 +138,28 @@ def occupation_estimate(path, x, epsilon, credit_table=None):
     by the within-step crossing reach, a bit beyond the running knot
     maximum: the continuum path genuinely overshoots the knots, and clamping
     the credit at the knot maximum would break the occupation-time identity.
+
+    Credits are computed only on the steps whose left knot lies before the
+    default time, with the lengths ``path.spans``; with ``credit_table``
+    the full-length steps are looked up and the partial step is integrated.
     """
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    knots = path.grid.knots
-    steps = np.diff(knots)
-    a = path.beta[:-1]
-    b = path.beta[1:]
+    live = path.grid.knots[:-1] < path.tau
+    spans = path.spans[live]
+    a = path.beta[:-1][live]
+    b = path.beta[1:][live]
     if credit_table is not None and credit_table.epsilon == epsilon:
-        regular = np.abs(steps - credit_table.span) <= 1e-9 * credit_table.span
-        incr = np.zeros(len(steps))
-        incr[regular] = credit_table.credit(a[regular] - x, b[regular] - x)
+        regular = np.abs(spans - credit_table.span) <= 1e-9 * credit_table.span
+        credits = np.zeros(len(spans))
+        credits[regular] = credit_table.credit(a[regular] - x, b[regular] - x)
         if not np.all(regular):
             irr = ~regular
-            incr[irr] = _band_time_credits(a[irr], b[irr], steps[irr], x, epsilon)
+            credits[irr] = _band_time_credits(a[irr], b[irr], spans[irr], x, epsilon)
     else:
-        incr = _band_time_credits(a, b, steps, x, epsilon)
-    incr[knots[:-1] >= path.tau] = 0.0
+        credits = _band_time_credits(a, b, spans, x, epsilon)
+    incr = np.zeros(len(live))
+    incr[live] = credits
     values = np.concatenate([[0.0], np.cumsum(incr / (2.0 * epsilon))])
     return LocalTimeCurve(float(x), path.grid, values, "occupation", float(epsilon))
 
@@ -220,11 +222,10 @@ def occupation_formula_residual(path, h, levels, curves, t=None):
     knots = path.grid.knots
     if t is None:
         t = path.grid.t_max
-    steps = np.diff(knots)
     in_window = knots[1:] <= t
     active = in_window & (knots[:-1] < path.tau)
     lhs = float(np.sum(h(knots[:-1][active], path.beta[:-1][active])
-                       * steps[active]))
+                       * path.spans[active]))
 
     levels = np.asarray(levels, dtype=float)
     if len(levels) > 1:

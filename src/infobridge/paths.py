@@ -12,9 +12,11 @@ Two constructions of the same law:
 
 The default state is encoded exactly: at every knot at or after the default
 time the stored value is literal floating-point zero, so downstream modules
-can detect default without tolerance thresholds.  The default time itself is
-inserted as an extra knot, which keeps the frozen tail, the quadratic
-variation and the local time free of O(dt) bias at the default.
+can detect default without tolerance thresholds.  Every path lives on the
+grid its caller passed in.  The grid step that contains the default time is
+a partial step: it ends at the default time with value zero, and its length
+(``InformationPath.spans``) is cut there, which keeps the frozen tail, the
+quadratic variation and the local time free of O(dt) bias at the default.
 
 Randomness comes from counter-based streams: path ``i`` of master seed ``m``
 uses a Philox generator keyed by the 128-bit pair (m, i), so ensembles are
@@ -61,19 +63,6 @@ class TimeGrid:
         knots = np.linspace(0.0, t_max, n + 1)
         return cls(knots, dt, float(t_max))
 
-    def with_knot(self, t):
-        """Grid with ``t`` inserted (no-op if t is already a knot or outside)."""
-        if not (0.0 < t < self.t_max):
-            return self
-        pos = int(np.searchsorted(self.knots, t))
-        if pos < len(self.knots) and self.knots[pos] == t:
-            return self
-        return TimeGrid(np.insert(self.knots, pos, t), self.dt, self.t_max)
-
-    @property
-    def steps(self):
-        return np.diff(self.knots)
-
     def index_of(self, t):
         """Index of the knot equal to ``t``; raises if absent."""
         pos = int(np.searchsorted(self.knots, t))
@@ -109,9 +98,14 @@ class InformationPath:
     construction: str
 
     @property
-    def default_mask(self):
-        """True at knots at or after the default time."""
-        return self.grid.knots >= self.tau
+    def spans(self):
+        """Step lengths cut at the default time.
+
+        The step containing the default time ends there; later steps have
+        length zero.
+        """
+        knots = self.grid.knots
+        return np.clip(np.minimum(knots[1:], self.tau) - knots[:-1], 0.0, None)
 
     def validate(self):
         """Check the exact-zero encoding of the default state."""
@@ -134,24 +128,24 @@ def sample_path_direct(ctx, grid, rng):
     """Draw the default time, then the bridge from raw Brownian increments.
 
     The draw order per stream is fixed: one uniform for the default time,
-    one standard normal per grid step (default knot included when inserted),
-    and one extra normal to reach the default time when it lies beyond the
-    grid horizon.
+    one standard normal per grid step, and one extra normal to reach the
+    default time when it lies beyond the grid horizon.  Inside the grid,
+    the normal of the step containing the default time also carries W from
+    the step's left knot to the default time.
     """
     gen = _generator_of(rng)
     tau = float(ctx.dist.quantile(gen.random()))
-    g = grid.with_knot(tau)
-    knots = g.knots
-    steps = np.diff(knots)
-    dw = np.sqrt(steps) * gen.standard_normal(len(steps))
-    w = np.concatenate([[0.0], np.cumsum(dw)])
-    if tau <= g.t_max:
-        w_tau = w[g.index_of(tau)]
+    knots = grid.knots
+    z = gen.standard_normal(len(knots) - 1)
+    w = np.concatenate([[0.0], np.cumsum(np.sqrt(np.diff(knots)) * z)])
+    if tau <= grid.t_max:
+        k = max(int(np.searchsorted(knots, tau)) - 1, 0)
+        w_tau = w[k] + math.sqrt(tau - knots[k]) * z[k]
     else:
-        w_tau = w[-1] + math.sqrt(tau - g.t_max) * gen.standard_normal()
+        w_tau = w[-1] + math.sqrt(tau - grid.t_max) * gen.standard_normal()
     beta = np.where(knots < tau, w - knots / tau * w_tau, 0.0)
     beta[0] = 0.0
-    return InformationPath(tau, g, beta, "direct")
+    return InformationPath(tau, grid, beta, "direct")
 
 
 def sample_path_given_tau(r, ctx, grid, rng):
@@ -166,8 +160,7 @@ def sample_path_given_tau(r, ctx, grid, rng):
     if r <= 0.0:
         raise DomainError(f"bridge length must be positive, got {r}")
     gen = _generator_of(rng)
-    g = grid.with_knot(r)
-    knots = g.knots
+    knots = grid.knots
     live = knots[1:] < r  # steps whose right endpoint needs a draw
     t0, t1 = knots[:-1][live], knots[1:][live]
     z = gen.standard_normal(int(live.sum()))
@@ -175,7 +168,7 @@ def sample_path_given_tau(r, ctx, grid, rng):
     m = np.cumsum(dm)
     beta = np.zeros(len(knots))
     beta[1:][live] = (r - t1) * m
-    return InformationPath(float(r), g, beta, "bridge_conditional")
+    return InformationPath(float(r), grid, beta, "bridge_conditional")
 
 
 def quadratic_variation(path):
@@ -193,8 +186,8 @@ def recover_b(path, ctx, drift_table=None):
     """Driving Brownian motion (stopped at default) recovered from the path.
 
     Adds back the mean-reversion drift via a left-endpoint Riemann sum over
-    the full steps before the default time; the final partial step into the
-    default knot is skipped (the drift integrand blows up there while staying
+    the full steps before the default time; the partial step ending at the
+    default time is skipped (the drift integrand blows up there while staying
     integrable, and the omitted contribution vanishes with dt).
 
     With ``drift_table`` the drift is interpolated; otherwise it is evaluated
@@ -224,12 +217,14 @@ def recover_b(path, ctx, drift_table=None):
 def restrict_path(path, coarse_grid):
     """The same realization viewed on a coarser grid.
 
-    Keeps the knots of ``coarse_grid`` (plus the default knot when it lies
-    inside) by selecting them from the fine path; every requested knot must
-    be present.  Used for step-halving control runs.
+    The result lives on ``coarse_grid`` itself, with values selected from
+    the fine path; every coarse knot must be a knot of the path.  Its step
+    containing the default time is again a partial step.  Used for
+    step-halving control runs.
     """
-    g = coarse_grid.with_knot(path.tau)
-    idx = np.searchsorted(path.grid.knots, g.knots)
-    if np.any(idx >= len(path.grid.knots)) or np.any(path.grid.knots[idx] != g.knots):
+    knots = coarse_grid.knots
+    idx = np.searchsorted(path.grid.knots, knots)
+    if np.any(idx >= len(path.grid.knots)) or np.any(path.grid.knots[idx] != knots):
         raise DomainError("coarse grid is not a subset of the path grid")
-    return InformationPath(path.tau, g, path.beta[idx].copy(), path.construction)
+    return InformationPath(path.tau, coarse_grid, path.beta[idx].copy(),
+                           path.construction)

@@ -89,7 +89,7 @@ def test_compensator_frozen_after_default(ctx_exp):
             break
     lt = occupation_estimate(p, 0.0, 0.1)
     k = compensator_curve(p, lt, ctx_exp)
-    j = p.grid.index_of(p.tau)
+    j = int(np.searchsorted(p.grid.knots, p.tau))
     assert np.all(k[j:] == k[j])
     assert np.all(np.diff(k) >= 0.0)
 
@@ -124,7 +124,7 @@ def test_window_approximation_monotone_and_stopped(ctx_exp):
             break
     kh = laplacian_approximation(p, 0.1, ctx_exp)
     assert np.all(np.diff(kh) >= 0.0)
-    j = p.grid.index_of(p.tau)
+    j = int(np.searchsorted(p.grid.knots, p.tau))
     assert np.all(kh[j:] == kh[j])
 
 
@@ -257,8 +257,9 @@ def test_indicator_curve(ctx_exp):
     H = indicator_curve(p)
     assert np.all(np.diff(H) >= 0.0)
     if p.tau <= 3.0:
-        assert H[p.grid.index_of(p.tau)] == 1.0
-        assert H[p.grid.index_of(p.tau) - 1] == 0.0
+        j = int(np.searchsorted(p.grid.knots, p.tau))
+        assert H[j] == 1.0
+        assert H[j - 1] == 0.0
 
 
 def test_grid_refinement_continuity(ctx_exp):

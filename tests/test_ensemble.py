@@ -59,12 +59,8 @@ def test_table_matches_per_path_module(ctx, job, table):
     for i in (0, 7, 123, 299):
         p = sample_path_direct(ctx, grid, RandomStream(CFG.seed, i))
         assert p.tau == table.tau[i]
-        if len(p.grid.knots) != len(grid.knots):
-            w = np.insert(job.weights, p.grid.index_of(p.tau), 0.0)
-        else:
-            w = job.weights
         lt = occupation_estimate(p, 0.0, eps, credit_table=job.credit_table)
-        curve = build_curve(p, lt, ctx, weights=w)
+        curve = build_curve(p, lt, ctx, weights=job.weights)
         for j, t in enumerate(job.times):
             assert curve.at(curve.H, t) == table.H[i, j]
             assert curve.at(curve.K, t) == table.K[i, j]
@@ -209,7 +205,5 @@ def test_tanaka_feed_config_switch(ctx):
     from infobridge.localtime import tanaka_estimate
     for i in (0, 13, 63):
         p = sample_path_direct(ctx, grid, RandomStream(cfg.seed, i))
-        w = (np.insert(job.weights, p.grid.index_of(p.tau), 0.0)
-             if len(p.grid.knots) != len(grid.knots) else job.weights)
-        k = compensator_curve(p, tanaka_estimate(p, 0.0), ctx, weights=w)
+        k = compensator_curve(p, tanaka_estimate(p, 0.0), ctx, weights=job.weights)
         assert k[p.grid.index_of(1.0)] == table.K[i, 0]

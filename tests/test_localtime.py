@@ -81,7 +81,7 @@ def _first_defaulting_path(ctx, grid, seed, before):
 def test_estimates_frozen_after_default(ctx_exp):
     grid = TimeGrid.regular(3.0, 0.01)
     p = _first_defaulting_path(ctx_exp, grid, 91, 2.0)
-    j = p.grid.index_of(p.tau)
+    j = int(np.searchsorted(p.grid.knots, p.tau))
     for curve in (occupation_estimate(p, 0.0, 0.05), tanaka_estimate(p, 0.0)):
         assert np.all(curve.values[j:] == curve.values[j])
 

@@ -52,16 +52,6 @@ def test_grid_validation():
         TimeGrid.regular(0.1, 0.25)
 
 
-def test_with_knot_insert_and_dedupe():
-    g = TimeGrid.regular(1.0, 0.25)
-    g2 = g.with_knot(0.3)
-    assert len(g2.knots) == len(g.knots) + 1
-    assert g2.index_of(0.3) == 2
-    assert g2.with_knot(0.3) is g2
-    assert g.with_knot(0.25) is g
-    assert g.with_knot(7.0) is g
-
-
 def test_stream_determinism_and_independence():
     a1 = RandomStream(5, 1).generator().standard_normal(4)
     a2 = RandomStream(5, 1).generator().standard_normal(4)
@@ -171,6 +161,34 @@ def test_construction_equivalence_kolmogorov_smirnov(ctx_exp):
     assert res.statistic < crit
 
 
+# -- one grid for every path ------------------------------------------------------
+
+def test_paths_live_on_the_caller_grid(ctx_exp):
+    # Every construction keeps the grid it was given; the step containing the
+    # default time is cut there, so the spans add up to min(tau, t_max).
+    fine = TimeGrid.regular(2.0, 0.01)
+    coarse = TimeGrid.regular(2.0, 0.02)
+    paths = []
+    for i in range(20):
+        p = sample_path_direct(ctx_exp, fine, RandomStream(606, i))
+        assert p.grid is fine
+        q = restrict_path(p, coarse)
+        assert q.grid is coarse
+        paths += [p, q]
+    for r in (0.013, 1.0, 1.5051, 2.0, 3.7):
+        p = sample_path_given_tau(r, ctx_exp, fine, RandomStream(607, 0))
+        assert p.grid is fine
+        paths.append(p)
+    taus = [p.tau for p in paths]
+    assert min(taus) < 2.0 < max(taus)
+    for p in paths:
+        spans = p.spans
+        assert len(spans) == len(p.grid.knots) - 1
+        assert np.all(spans >= 0.0)
+        assert abs(spans.sum() - min(p.tau, p.grid.t_max)) <= 1e-12
+        p.validate()
+
+
 # -- derived processes ------------------------------------------------------------
 
 def test_quadratic_variation_tracks_time_before_default():
@@ -190,7 +208,7 @@ def test_quadratic_variation_frozen_after_default(ctx_exp):
             break
     assert p.tau < 4.0
     qv = quadratic_variation(p)
-    j = p.grid.index_of(p.tau)
+    j = int(np.searchsorted(p.grid.knots, p.tau))
     assert np.all(qv[j:] == qv[j])
 
 
@@ -222,7 +240,7 @@ def test_recover_b_constant_after_default(ctx_exp):
             break
     table = DriftTable.build(ctx_exp, p.grid.knots, x_max=10.0)
     b = recover_b(p, ctx_exp, drift_table=table)
-    j = p.grid.index_of(p.tau)
+    j = int(np.searchsorted(p.grid.knots, p.tau))
     assert np.allclose(b[j:], b[j], atol=0.0)
 
 
@@ -265,5 +283,4 @@ def test_restrict_path_keeps_values(ctx_exp):
     assert q.tau == p.tau
     for t in (0.25, 0.5, 1.0):
         assert q.beta[q.grid.index_of(t)] == p.beta[p.grid.index_of(t)]
-    if p.tau < 1.0:
-        assert q.beta[q.grid.index_of(p.tau)] == 0.0
+    assert np.all(q.beta[q.grid.knots >= p.tau] == 0)
