@@ -18,6 +18,7 @@ environment variable (default: available CPUs); it must be an integer.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -74,6 +75,8 @@ def cmd_survival(cfg, t, x):
     ctx = _context(cfg)
     if not (0.0 < t < min(cfg.t_max, ctx.t1)):
         raise DomainError(f"t={t} must lie in (0, min(t_max, t1))")
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     if x == 0.0:
         raise DomainError("x must be nonzero (zero encodes the default state)")
     grid = TimeGrid.regular(cfg.t_max, cfg.dt)
@@ -139,13 +142,8 @@ def cmd_compensator(cfg):
 
 
 def cmd_convergence(cfg):
-    if not cfg.kh:
-        raise ConfigError("convergence needs a nonempty list of window lags (kh)")
-    if len(cfg.kh) > 1 and not all(a > b for a, b in zip(cfg.kh, cfg.kh[1:])):
-        raise ConfigError("window lags must be strictly decreasing")
     ctx = _context(cfg)
     grid = TimeGrid.regular(cfg.t_max, cfg.dt)
-    eps = cfg.lt_eps_coeff * cfg.dt ** cfg.lt_eps_power
     weights = laws.compensator_weights(ctx, grid.knots, grid.dt)
     times = cfg.report_times
     idx = [grid.index_of(t) for t in times]
@@ -155,7 +153,7 @@ def cmd_convergence(cfg):
         if cfg.lt_estimator == "tanaka":
             lt = tanaka_estimate(path, 0.0)
         else:
-            lt = occupation_estimate(path, 0.0, eps)
+            lt = occupation_estimate(path, 0.0, cfg.eps)
         curve = build_curve(path, lt, ctx, weights=weights)
         kref = curve.K[idx]
         for a, h in enumerate(cfg.kh):

@@ -41,13 +41,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompensatorCurve:
-    """Per-path curves on the path grid: indicator, compensator, windows."""
+    """Per-path curves on the path grid: indicator and compensator."""
 
     grid: TimeGrid
     tau: float
     H: np.ndarray
     K: np.ndarray
-    Kh: dict = field(default_factory=dict)
 
     def at(self, curve, t):
         return float(curve[self.grid.index_of(t)])
@@ -133,11 +132,10 @@ def averaged_gaussian_kernel(h, x, spec=None):
     return val / h
 
 
-def build_curve(path, lt, ctx, h_values=(), weights=None):
-    """Assemble the per-path curve bundle (indicator, compensator, windows)."""
+def build_curve(path, lt, ctx, weights=None):
+    """Assemble the per-path curve bundle (indicator and compensator)."""
     K = compensator_curve(path, lt, ctx, weights=weights)
-    Kh = {h: laplacian_approximation(path, h, ctx) for h in h_values}
-    return CompensatorCurve(path.grid, path.tau, indicator_curve(path), K, Kh)
+    return CompensatorCurve(path.grid, path.tau, indicator_curve(path), K)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +154,12 @@ def parse_functional(text):
     if text == "abs_beta":
         return "abs_beta", np.abs
     if text.startswith("indicator_beta_above:"):
-        c = float(text.split(":", 1)[1])
+        try:
+            c = float(text.split(":", 1)[1])
+        except ValueError:
+            c = math.nan  # reported with the non-finite thresholds below
+        if not math.isfinite(c):
+            raise DomainError(f"bad threshold in functional {text!r}")
         return f"indicator_beta_above({c:g})", lambda b: (b > c).astype(float)
     raise DomainError(f"unknown functional {text!r}")
 

@@ -5,7 +5,9 @@ line, ``#`` comments, no sections — so acceptance configurations are
 diffable and round-trip exactly.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .compensator import parse_functional
 from .errors import ConfigError, DomainError
@@ -35,9 +37,19 @@ class RunConfig:
     out: str = "."
     zero_k: bool = False
 
+    @property
+    def eps(self):
+        """Occupation-estimator bandwidth, lt_eps_coeff * dt ** lt_eps_power."""
+        return self.lt_eps_coeff * self.dt ** self.lt_eps_power
+
     def validate(self, command=None):
         """Check base consistency; report-time/grid alignment is enforced only
-        for commands that consume report times."""
+        for commands that consume report times, and the window lags only for
+        the convergence command."""
+        for name, kind in _SCHEMA.items():
+            val = getattr(self, name)
+            if kind in ("float", "floats", "pairs") and not np.all(np.isfinite(val)):
+                raise ConfigError(f"{name} must be finite, got {val}")
         if self.dt <= 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_max <= self.dt:
@@ -52,6 +64,11 @@ class RunConfig:
             raise ConfigError("gate_multiplier must be positive")
         if any(h <= 0.0 for h in self.kh):
             raise ConfigError("window lags must be positive")
+        if command == "convergence":
+            if not self.kh:
+                raise ConfigError("convergence needs a nonempty list of window lags (kh)")
+            if not all(a > b for a, b in zip(self.kh, self.kh[1:])):
+                raise ConfigError("window lags must be strictly decreasing")
         if command not in ("compensator", "convergence"):
             return self
         grid = TimeGrid.regular(self.t_max, self.dt)

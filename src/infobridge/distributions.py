@@ -1,8 +1,9 @@
 """Laws of the default time.
 
 A ``DefaultDistribution`` bundles the density f, distribution function F,
-quantile function, a seeded sampler, and the effective horizon
-t1 = sup{t : F(t) < 1}.  Parametric families are backed by scipy.stats;
+quantile function, a seeded sampler, the effective horizon
+t1 = sup{t : F(t) < 1}, and the point where tail integrals against f stop
+(``tail_cut``).  Parametric families are backed by scipy.stats;
 user-tabulated densities are piecewise linear, renormalized at load.
 
 All model quantities downstream are computed only for times below t1, and
@@ -17,7 +18,7 @@ from scipy import special as _special
 from scipy import stats as _stats
 
 from .errors import ConfigError, DomainError
-from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
+from .quadrature import QuadratureSpec, integrate_finite
 
 __all__ = ["DefaultDistribution", "parse_distribution"]
 
@@ -40,6 +41,8 @@ class DefaultDistribution:
             raise DomainError(f"unknown distribution kind {kind!r}")
         self.kind = kind
         self.params = tuple(float(p) for p in params)
+        if not all(math.isfinite(p) for p in self.params):
+            raise DomainError(f"{kind} parameters must be finite, got {self.params}")
         self._table = table
         self._frozen = None
         if kind == "exponential":
@@ -183,9 +186,12 @@ class DefaultDistribution:
         gen = rng.generator() if hasattr(rng, "generator") else rng
         return float(self.quantile(gen.random()))
 
-    def effective_horizon(self):
-        """sup{t : F(t) < 1}; +inf for unbounded-support laws."""
-        return self.t1
+    def tail_cut(self, mass):
+        """Where tail integrals against f stop: t1 when it is finite (f
+        vanishes beyond it), else the quantile that leaves ``mass`` beyond it."""
+        if math.isfinite(self.t1):
+            return self.t1
+        return float(self.quantile(1.0 - mass))
 
     # -- internals ----------------------------------------------------------
 
@@ -217,18 +223,15 @@ class DefaultDistribution:
             # adaptive rule never chases interpolation kinks.
             mass = 0.0
             for lo, hi in zip(self._t[:-1], self._t[1:]):
-                seg, _ = integrate_finite(lambda v: float(self.density_f(v)),
-                                          float(lo), float(hi), spec)
+                seg, _ = integrate_finite(self.density_f, float(lo), float(hi), spec)
                 mass += seg
-        elif math.isfinite(self.t1):
-            mass, _ = integrate_finite(lambda v: float(self.density_f(v)),
-                                       0.0, self.t1, spec)
         else:
-            # Integrate up to the truncation quantile and put the cut tail
-            # mass back, so a consistent law lands within 1e-9 of unity.
-            mass, _ = integrate_semi_infinite(lambda v: float(self.density_f(v)),
-                                              0.0, spec, envelope=self)
-            mass += 1.0 - float(self.cdf_F(self.quantile(1.0 - spec.tail_cutoff_mass)))
+            # From the lower support edge (the adaptive rule may never sample
+            # a short gap below it) up to the tail cut, plus the cut tail mass.
+            lower = self.params[0] if self.kind == "uniform" else 0.0
+            cut = self.tail_cut(spec.tail_cutoff_mass)
+            mass, _ = integrate_finite(self.density_f, lower, cut, spec)
+            mass += 1.0 - float(self.cdf_F(cut))
         if abs(mass - 1.0) > _MASS_TOL:
             raise DomainError(f"density mass {mass!r} differs from 1")
 

@@ -111,26 +111,25 @@ class EnsembleTable:
             raise DomainError(f"state time {s} was not recorded") from None
 
 
-def build_job(ctx, grid, cfg_like):
+def build_job(ctx, grid, cfg):
     """Assemble an EnsembleJob from a run configuration.
 
     Records H/K at the union of report times and residual-pair endpoints,
     and the information value at every residual-pair start.
     """
-    eps = cfg_like.lt_eps_coeff * cfg_like.dt ** cfg_like.lt_eps_power
-    pair_times = [t for pair in cfg_like.residual_pairs for t in pair]
-    times = tuple(sorted(set(cfg_like.report_times) | set(pair_times)))
-    s_nodes = tuple(sorted({s for s, _ in cfg_like.residual_pairs}))
+    pair_times = [t for pair in cfg.residual_pairs for t in pair]
+    times = tuple(sorted(set(cfg.report_times) | set(pair_times)))
+    s_nodes = tuple(sorted({s for s, _ in cfg.residual_pairs}))
     for t in times:
         grid.index_of(t)  # validates alignment
     weights = laws.compensator_weights(ctx, grid.knots, grid.dt)
     step = float(grid.knots[1] - grid.knots[0])
-    table = BandCreditTable(step, eps) if cfg_like.lt_estimator == "occupation" else None
+    table = BandCreditTable(step, cfg.eps) if cfg.lt_estimator == "occupation" else None
     return EnsembleJob(
-        ctx=ctx, grid=grid, master_seed=cfg_like.seed, eps=eps,
-        estimator=cfg_like.lt_estimator, weights=weights,
-        times=times, s_nodes=s_nodes, kh=tuple(cfg_like.kh),
-        zero_k=cfg_like.zero_k, credit_table=table,
+        ctx=ctx, grid=grid, master_seed=cfg.seed, eps=cfg.eps,
+        estimator=cfg.lt_estimator, weights=weights,
+        times=times, s_nodes=s_nodes, kh=tuple(cfg.kh),
+        zero_k=cfg.zero_k, credit_table=table,
     )
 
 

@@ -14,11 +14,11 @@ class NonConvergence(InfoBridgeError, RuntimeError):
 
 
 class EnvelopeError(InfoBridgeError, RuntimeError):
-    """No valid truncation point could be derived for a semi-infinite integral."""
+    """The truncation point of a semi-infinite integral does not exceed its lower bound."""
 
 
 class IntegrabilityError(InfoBridgeError, RuntimeError):
-    """The integrand grows too fast for the tail envelope to bound it."""
+    """The integrand is not negligible where the law's tail integrals are cut."""
 
 
 class InsufficientPaths(InfoBridgeError, ValueError):

@@ -32,10 +32,12 @@ and products are assembled in log space and exponentiated once.  The scaled
 integrand retains an integrable (v-s)**-0.5 endpoint singularity that the
 quadrature layer removes by substitution.
 
-Two evaluation routes exist for the tail integrals: scalar adaptive
-quadrature (the reference used by the public operations) and a fixed-rule
-Gauss-Legendre panel scheme vectorized over grid knots (used to build the
-weight and drift tables that large ensembles need).  The two routes are
+Every tail integral stops at the context's ``t_cut``: the law's ``tail_cut``
+at the quadrature policy's cutoff mass.  Two evaluation routes exist, each
+with one entry: scalar adaptive quadrature through ``_tail`` (the reference
+used by the public operations) and a fixed-rule Gauss-Legendre panel scheme
+vectorized over grid knots, ``scaled_tail_grid`` (used to build the weight,
+drift and hazard tables that large ensembles need).  The two routes are
 cross-checked in the test suite.
 """
 
@@ -46,7 +48,7 @@ import numpy as np
 
 from .distributions import DefaultDistribution
 from .errors import DomainError, IntegrabilityError
-from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
+from .quadrature import QuadratureSpec, integrate_semi_infinite
 
 __all__ = [
     "ModelContext",
@@ -59,6 +61,7 @@ __all__ = [
     "conditional_expectation",
     "survival_probability",
     "mean_reversion_drift",
+    "scaled_tail_grid",
     "DriftTable",
 ]
 
@@ -80,7 +83,12 @@ class ModelContext:
 
     @property
     def t1(self):
-        return self.dist.effective_horizon()
+        return self.dist.t1
+
+    @property
+    def t_cut(self):
+        """Where every tail integral against f stops."""
+        return self.dist.tail_cut(self.quad.tail_cutoff_mass)
 
     def _check_interior_time(self, s, name="s"):
         if not (0.0 < s < self.t1):
@@ -110,14 +118,15 @@ def bridge_density(t, r, x):
 # scaled tail integrals, scalar adaptive route
 # ---------------------------------------------------------------------------
 
-def _scaled_survivor_integrand(s, x, f):
+def _scaled_survivor_integrand(s, x, ctx):
     """Integrand of the scaled survivor density: the exp(-x^2/(2s)) factor
     is pulled out, leaving exp(-x^2/(2(v-s))) which vanishes at v = s."""
     x2 = x * x
+    f = ctx.dist.density_f
 
     def integrand(v):
         w = v - s
-        fv = f(v)
+        fv = float(f(v))
         if fv == 0.0 or w <= 0.0:
             return 0.0
         return math.sqrt(v / (2.0 * math.pi * s * w)) * math.exp(-x2 / (2.0 * w)) * fv
@@ -125,13 +134,13 @@ def _scaled_survivor_integrand(s, x, f):
     return integrand
 
 
-def _tail_kwargs(ctx):
-    """How to cut the tail of an integral against f: at the effective horizon
-    when it is finite (f vanishes beyond it exactly), else at the envelope
-    quantile prescribed by the quadrature policy."""
-    if math.isfinite(ctx.t1):
-        return {"truncation": ctx.t1}
-    return {"envelope": ctx.dist}
+def _tail(integrand, lower, ctx, points=None):
+    """Integral of ``integrand`` over (lower, ctx.t_cut); the integrand may
+    carry a (v - lower)**-0.5 singularity at the lower end."""
+    val, _ = integrate_semi_infinite(integrand, lower, ctx.quad,
+                                     truncation=ctx.t_cut, singular_at_a=True,
+                                     interior_points=points)
+    return val
 
 
 def _layer_points(s, x):
@@ -152,11 +161,8 @@ def _scaled_survivor(s, x, ctx):
     cached = ctx._memo.get(key)
     if cached is not None:
         return cached
-    f = ctx.dist.density_f
-    val, _ = integrate_semi_infinite(
-        _scaled_survivor_integrand(s, x, lambda v: float(f(v))),
-        s, ctx.quad, singular_at_a=True,
-        interior_points=_layer_points(s, x), **_tail_kwargs(ctx))
+    val = _tail(_scaled_survivor_integrand(s, x, ctx), s, ctx,
+                _layer_points(s, x))
     if len(ctx._memo) > 100_000:
         ctx._memo.clear()
     ctx._memo[key] = val
@@ -198,9 +204,7 @@ def survivor_density_floor(t0, t, x, ctx):
             return 0.0
         return pref * math.exp(-x2 * t / (2.0 * t0 * w)) * fv
 
-    val, _ = integrate_semi_infinite(integrand, t, ctx.quad,
-                                     singular_at_a=True, **_tail_kwargs(ctx))
-    return math.exp(-x2 / (2.0 * t0)) * val
+    return math.exp(-x2 / (2.0 * t0)) * _tail(integrand, t, ctx)
 
 
 def _log_scaled_bridge(t, r, x):
@@ -236,21 +240,20 @@ def conditional_expectation(g_of_tau, t, x, ctx, g_breakpoints=None):
     exp(-x^2/(2t)) factor cancels.  Jumps or kinks of ``g_of_tau`` (digital
     payoffs, indicators) should be declared through ``g_breakpoints`` so the
     subdivision starts on them.  Raises IntegrabilityError when the integrand
-    is still non-negligible at the truncation point, i.e. the envelope
-    distribution cannot bound ``|g_of_tau| * f``.
+    is still non-negligible at the truncation point, i.e. the law's tail
+    cut cannot bound ``|g_of_tau| * f``.
     """
     ctx._check_interior_time(t, "t")
-    f = ctx.dist.density_f
-    base = _scaled_survivor_integrand(t, x, lambda v: float(f(v)))
+    base = _scaled_survivor_integrand(t, x, ctx)
 
     def integrand(v):
         return g_of_tau(v) * base(v)
 
     denom = _scaled_survivor(t, x, ctx)
     if not math.isfinite(ctx.t1):
-        # Preflight at the truncation point: the envelope only bounds the
-        # tail if the integrand is already negligible out there.
-        t_cut = float(ctx.dist.quantile(1.0 - ctx.quad.tail_cutoff_mass))
+        # Preflight at the truncation point: the cut only bounds the tail
+        # if the integrand is already negligible out there.
+        t_cut = ctx.t_cut
         try:
             probe = abs(integrand(t_cut)) * max(t_cut - t, 1.0)
         except OverflowError:
@@ -259,14 +262,11 @@ def conditional_expectation(g_of_tau, t, x, ctx, g_breakpoints=None):
                 1e6 * ctx.quad.abs_tol, 1e3 * ctx.quad.tail_cutoff_mass * denom):
             raise IntegrabilityError(
                 "integrand not negligible at the truncation point; "
-                "tail envelope cannot bound |g(tau)| f(tau)")
+                "the tail cut cannot bound |g(tau)| f(tau)")
     interior = list(_layer_points(t, x) or [])
     if g_breakpoints is not None:
         interior.extend(g_breakpoints)
-    num, _ = integrate_semi_infinite(integrand, t, ctx.quad, singular_at_a=True,
-                                     interior_points=interior or None,
-                                     **_tail_kwargs(ctx))
-    return num / denom
+    return _tail(integrand, t, ctx, interior or None) / denom
 
 
 def survival_probability(t, u, x, ctx):
@@ -282,10 +282,7 @@ def survival_probability(t, u, x, ctx):
         return 0.0
     if u == t:
         return 1.0
-    f = ctx.dist.density_f
-    num, _ = integrate_semi_infinite(
-        _scaled_survivor_integrand(t, x, lambda v: float(f(v))),
-        u, ctx.quad, singular_at_a=True, **_tail_kwargs(ctx))
+    num = _tail(_scaled_survivor_integrand(t, x, ctx), u, ctx)
     return min(1.0, max(0.0, num / _scaled_survivor(t, x, ctx)))
 
 
@@ -300,15 +297,12 @@ def mean_reversion_drift(s, x, ctx):
     ctx._check_interior_time(s)
     if x == 0.0:
         return 0.0
-    f = ctx.dist.density_f
-    base = _scaled_survivor_integrand(s, x, lambda v: float(f(v)))
+    base = _scaled_survivor_integrand(s, x, ctx)
 
     def integrand(v):
         return base(v) / (v - s)
 
-    num, _ = integrate_semi_infinite(integrand, s, ctx.quad, singular_at_a=True,
-                                     interior_points=_layer_points(s, x),
-                                     **_tail_kwargs(ctx))
+    num = _tail(integrand, s, ctx, _layer_points(s, x))
     return x * num / _scaled_survivor(s, x, ctx)
 
 
@@ -335,8 +329,8 @@ def _panel_nodes(lo, hi, n_panels):
     return z.reshape(n, -1), w.reshape(n, -1)
 
 
-def _scaled_tail_vec(s, x, ctx, reversion=False, upper=None):
-    """Vectorized scaled tail integrals over v in (s, upper or tail cutoff).
+def scaled_tail_grid(s, x, ctx, reversion=False, upper=None):
+    """Vectorized scaled tail integrals over v in (s, upper or ctx.t_cut).
 
     With ``reversion=False`` this is the scaled survivor density (or, with
     ``upper = s + h``, the scaled h-window numerator of the hazard rate);
@@ -352,11 +346,7 @@ def _scaled_tail_vec(s, x, ctx, reversion=False, upper=None):
     s, x = np.broadcast_arrays(s, x)
     out = np.zeros(s.shape, dtype=float)
     if upper is None:
-        if math.isfinite(ctx.t1):
-            t_cut = float(ctx.t1)
-        else:
-            t_cut = float(ctx.dist.quantile(1.0 - ctx.quad.tail_cutoff_mass))
-        hi_v = np.full(s.shape, t_cut)
+        hi_v = np.full(s.shape, ctx.t_cut)
     else:
         hi_v = np.broadcast_to(np.asarray(upper, dtype=float), s.shape)
     live = hi_v > s
@@ -400,16 +390,6 @@ def _scaled_tail_vec(s, x, ctx, reversion=False, upper=None):
     return out
 
 
-def scaled_survivor_grid(s, x, ctx, upper=None):
-    """Vectorized scaled survivor density (see ``_scaled_tail_vec``)."""
-    return _scaled_tail_vec(s, x, ctx, reversion=False, upper=upper)
-
-
-def scaled_reversion_grid(s, x, ctx):
-    """Vectorized scaled drift integral; requires nonzero x."""
-    return _scaled_tail_vec(s, x, ctx, reversion=True)
-
-
 def compensator_weights(ctx, knots, dt):
     """Per-knot weight f(s) / survivor_density(s, 0) driving the compensator.
 
@@ -429,7 +409,7 @@ def compensator_weights(ctx, knots, dt):
 def _zero_level_weights(ctx, s):
     """f(s) / survivor_density(s, 0) at times ``s`` before the horizon; zero
     where the survivor density is not positive."""
-    dens = scaled_survivor_grid(s, 0.0, ctx)
+    dens = scaled_tail_grid(s, 0.0, ctx)
     fvals = np.asarray(ctx.dist.density_f(s), dtype=float)
     w = np.zeros(s.shape)
     ok = dens > 0.0
@@ -444,8 +424,8 @@ def hazard_window_rates(ctx, s, x, h):
     exp(-x^2/(2s)) scale cancels, so the rate is stable for any |x|.
     """
     s = np.asarray(s, dtype=float)
-    num = scaled_survivor_grid(s, x, ctx, upper=s + h)
-    den = scaled_survivor_grid(s, x, ctx)
+    num = scaled_tail_grid(s, x, ctx, upper=s + h)
+    den = scaled_tail_grid(s, x, ctx)
     out = np.zeros(s.shape)
     ok = den > 0.0
     out[ok] = num[ok] / den[ok] / h
@@ -481,8 +461,8 @@ class DriftTable:
         values = np.zeros((len(s_nodes), n_x))
         values[live, 0] = _zero_level_weights(ctx, s_eval[live])
         for j, xj in enumerate(x_pos, start=1):
-            den = scaled_survivor_grid(s_eval[live], xj, ctx)
-            num = scaled_reversion_grid(s_eval[live], xj, ctx)
+            den = scaled_tail_grid(s_eval[live], xj, ctx)
+            num = scaled_tail_grid(s_eval[live], xj, ctx, reversion=True)
             col = np.zeros(live.sum())
             okj = den > 0.0
             col[okj] = xj * num[okj] / den[okj]

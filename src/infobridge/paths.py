@@ -24,7 +24,7 @@ reproducible path-by-path no matter how work is scheduled across processes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

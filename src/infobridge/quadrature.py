@@ -3,7 +3,9 @@
 Wraps adaptive Gauss-Kronrod subdivision (QUADPACK via scipy) behind the two
 entry points the model needs: finite intervals with an optional
 inverse-square-root singularity at the lower endpoint, and semi-infinite
-tails truncated where a supplied envelope distribution has negligible mass.
+tails truncated at a point the caller supplies.  Where a tail is cut is a
+property of the law being integrated against
+(``DefaultDistribution.tail_cut``), not of the integrator.
 
 The singularity is never handed to the adaptive rule directly: with the
 substitution v = a + z**2 an integrand behaving like (v - a)**-0.5 near a
@@ -26,9 +28,9 @@ class QuadratureSpec:
     """Tolerances and budgets for adaptive quadrature.
 
     rel_tol / abs_tol are the usual mixed tolerance targets.  tail_cutoff_mass
-    is the probability mass below which the tail of an envelope distribution
-    is truncated; it is kept at most 1e-6 so truncation error stays far below
-    any Monte Carlo noise floor.
+    is the probability mass a default law may leave beyond the point where its
+    tail integrals are cut (``DefaultDistribution.tail_cut``); it is kept at
+    most 1e-6 so truncation error stays far below any Monte Carlo noise floor.
     """
 
     rel_tol: float = 1e-9
@@ -112,29 +114,20 @@ def integrate_finite(integrand, a, b, spec=QuadratureSpec(), singular_at_a=False
     return _quad(integrand, a, b, spec, points=interior_points)
 
 
-def integrate_semi_infinite(integrand, a, spec=QuadratureSpec(), envelope=None,
-                            truncation=None, singular_at_a=False,
-                            interior_points=None):
-    """Integrate ``integrand`` over [a, oo).
+def integrate_semi_infinite(integrand, a, spec=QuadratureSpec(), *, truncation,
+                            singular_at_a=False, interior_points=None):
+    """Integrate ``integrand`` over [a, oo), cut at ``truncation``.
 
-    The tail is truncated at a point T beyond which the integral is
-    negligible: either the ``envelope`` distribution's quantile at
-    1 - tail_cutoff_mass, or an explicit ``truncation`` bound supplied by the
-    caller.  The reported error estimate includes a term for the discarded
-    tail, sized by the cutoff mass relative to the computed value.
+    The caller chooses ``truncation`` as a point beyond which the integral is
+    negligible.  The reported error estimate includes a term for the
+    discarded tail, sized by the cutoff mass relative to the computed value.
 
     Raises
     ------
     EnvelopeError
-        If neither an envelope nor an explicit truncation point is given, or
-        the derived truncation point does not exceed ``a``.
+        If the truncation point does not exceed ``a``.
     """
-    if truncation is not None:
-        t_cut = float(truncation)
-    elif envelope is not None:
-        t_cut = float(envelope.quantile(1.0 - spec.tail_cutoff_mass))
-    else:
-        raise EnvelopeError("no envelope distribution or truncation point supplied")
+    t_cut = float(truncation)
     if not (t_cut > a):
         raise EnvelopeError(
             f"truncation point {t_cut} does not exceed lower bound {a}"

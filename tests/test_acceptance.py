@@ -32,7 +32,6 @@ from infobridge.localtime import (
     level_grid,
     occupation_estimate,
     occupation_formula_residual,
-    tanaka_estimate,
 )
 from infobridge.paths import (
     RandomStream,

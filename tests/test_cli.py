@@ -1,7 +1,6 @@
 import os
 
 import numpy as np
-import pytest
 
 from infobridge.cli import main
 
@@ -27,6 +26,8 @@ def test_simulate_schema_and_determinism(tmp_path):
 
 def test_simulate_rejects_zero_dt(tmp_path):
     assert main(["simulate", "--dt", "0", "--out", str(tmp_path)]) == 2
+    assert main(["simulate", "--dt", "nan", "--out", str(tmp_path)]) == 2
+    assert main(["simulate", "--t-max", "inf", "--out", str(tmp_path)]) == 2
 
 
 def test_survival_curve(tmp_path):
@@ -50,6 +51,7 @@ def test_survival_domain_errors(tmp_path):
             "--out", out]
     assert main(base + ["--t", "1.0", "--x", "0.0"]) == 2
     assert main(base + ["--t", "3.0", "--x", "0.3"]) == 2
+    assert main(base + ["--t", "1.0", "--x", "nan"]) == 2
 
 
 def _compensator_cfg(tmp_path, **extra):

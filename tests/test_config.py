@@ -71,6 +71,13 @@ def test_bad_value(tmp_path):
     dict(lt_eps_coeff=0.0),
     dict(gate_multiplier=0.0),
     dict(kh=(0.1, -0.2)),
+    dict(dt=float("nan")),
+    dict(t_max=float("inf")),
+    dict(gate_multiplier=float("nan")),
+    dict(lt_eps_coeff=float("nan")),
+    dict(kh=(0.2, float("nan"))),
+    dict(report_times=(0.5, float("inf"))),
+    dict(residual_pairs=((0.5, float("nan")),)),
 ])
 def test_base_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -101,10 +108,12 @@ def test_residual_pair_ordering():
 
 
 def test_bad_functional():
-    cfg = RunConfig(dt=0.01, t_max=2.0, report_times=(1.0,),
-                    residual_pairs=(), functionals=("square",))
-    with pytest.raises(ConfigError):
-        cfg.validate("compensator")
+    for bad in ("square", "indicator_beta_above:abc", "indicator_beta_above:nan",
+                "indicator_beta_above:inf"):
+        cfg = RunConfig(dt=0.01, t_max=2.0, report_times=(1.0,),
+                        residual_pairs=(), functionals=(bad,))
+        with pytest.raises(ConfigError):
+            cfg.validate("compensator")
 
 
 def test_unknown_flag_override():

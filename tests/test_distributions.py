@@ -81,11 +81,11 @@ def test_sampler_determinism():
 
 
 def test_effective_horizon():
-    assert DefaultDistribution.exponential(1.0).effective_horizon() == math.inf
-    assert DefaultDistribution.uniform(0.0, 2.0).effective_horizon() == 2.0
+    assert DefaultDistribution.exponential(1.0).t1 == math.inf
+    assert DefaultDistribution.uniform(0.0, 2.0).t1 == 2.0
     t = np.linspace(0.0, 5.0, 501)
     d = DefaultDistribution.from_table(t, np.exp(-t))
-    assert d.effective_horizon() == 5.0
+    assert d.t1 == 5.0
 
 
 @pytest.mark.parametrize("d", [
@@ -110,13 +110,14 @@ def test_sampler_kolmogorov_smirnov(d):
 ])
 def test_unit_mass(d):
     spec = QuadratureSpec()
-    t1 = d.effective_horizon()
+    t1 = d.t1
     if math.isfinite(t1):
         mass, _ = integrate_finite(lambda v: float(d.density_f(v)), 0.0, t1, spec)
     else:
+        cut = d.tail_cut(spec.tail_cutoff_mass)
         mass, _ = integrate_semi_infinite(lambda v: float(d.density_f(v)), 0.0,
-                                          spec, envelope=d)
-        mass += 1.0 - d.cdf_F(d.quantile(1.0 - spec.tail_cutoff_mass))
+                                          spec, truncation=cut)
+        mass += 1.0 - d.cdf_F(cut)
     assert abs(mass - 1.0) <= 1e-9
 
 
@@ -157,7 +158,7 @@ def test_table_file_loading(tmp_path):
     lines = ["t,f"] + [f"{a:.17g},{b:.17g}" for a, b in zip(t, f)]
     path.write_text("\n".join(lines) + "\n")
     d = DefaultDistribution.from_table_file(str(path))
-    assert d.effective_horizon() == 4.0
+    assert d.t1 == 4.0
     assert abs(d.density_f(1.0) - math.exp(-1.0) / (1.0 - math.exp(-4.0))) < 1e-3
 
 
@@ -175,7 +176,11 @@ def test_parse_distribution():
     assert parse_distribution("gamma:2,1").kind == "gamma"
     assert parse_distribution("uniform:0,2").t1 == 2.0
     assert parse_distribution("lognormal:0.0,0.5").kind == "lognormal"
-    for bad in ("exp", "exp:a", "gamma:1", "weibull:1,2", "uniform:2,1"):
+    # valid supports whose lower edge the mass check has to start from
+    assert parse_distribution("uniform:0.001,2.9").t1 == 2.9
+    assert parse_distribution("uniform:0.0001,0.9").t1 == 0.9
+    for bad in ("exp", "exp:a", "gamma:1", "weibull:1,2", "uniform:2,1",
+                "exp:nan", "gamma:inf,1", "lognormal:nan,0.5", "uniform:0,inf"):
         with pytest.raises(ConfigError):
             parse_distribution(bad)
 

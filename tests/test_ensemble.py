@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from infobridge import laws
 from infobridge.compensator import build_curve
 from infobridge.config import RunConfig
 from infobridge.distributions import DefaultDistribution
@@ -18,7 +17,7 @@ from infobridge.ensemble import (
     write_residuals_csv,
     write_summary_csv,
 )
-from infobridge.errors import ConfigError, DomainError, InsufficientPaths
+from infobridge.errors import DomainError, InsufficientPaths
 from infobridge.laws import ModelContext
 from infobridge.localtime import occupation_estimate
 from infobridge.paths import RandomStream, TimeGrid, sample_path_direct

@@ -16,8 +16,7 @@ from infobridge.laws import (
     inverse_survivor_density,
     mean_reversion_drift,
     posterior_density,
-    scaled_reversion_grid,
-    scaled_survivor_grid,
+    scaled_tail_grid,
     survival_probability,
     survivor_density,
     survivor_density_floor,
@@ -304,7 +303,7 @@ def test_scaled_survivor_grid_matches_adaptive(ctx_exp, ctx_unif):
         hi = min(ctx.t1, 3.0)
         s = rng.uniform(0.05, hi - 0.05, size=24)
         x = np.concatenate([np.zeros(6), rng.uniform(0.001, 5.0, size=18)])
-        fast = scaled_survivor_grid(s, x, ctx)
+        fast = scaled_tail_grid(s, x, ctx)
         slow = np.array([_scaled_survivor(float(a), float(b), ctx)
                          for a, b in zip(s, x)])
         np.testing.assert_allclose(fast, slow, rtol=1e-7, atol=1e-12)
@@ -314,7 +313,7 @@ def test_scaled_reversion_grid_matches_adaptive(ctx_exp):
     rng = np.random.default_rng(22)
     s = rng.uniform(0.1, 2.5, size=16)
     x = rng.uniform(0.01, 4.0, size=16)
-    fast = scaled_reversion_grid(s, x, ctx_exp)
+    fast = scaled_tail_grid(s, x, ctx_exp, reversion=True)
     for a, b, fv in zip(s, x, fast):
         exact = mean_reversion_drift(float(a), float(b), ctx_exp)
         den = _scaled_survivor(float(a), float(b), ctx_exp)
@@ -347,10 +346,9 @@ def test_hazard_window_rates_match_scalar(ctx_exp):
     s = np.array([0.3, 1.0, 1.7])
     x = np.array([0.2, -0.8, 1.5])
     rates = hazard_window_rates(ctx_exp, s, x, h)
-    f = ctx_exp.dist.density_f
     for sv, xv, rv in zip(s, x, rates):
         num, _ = integrate_finite(
-            _scaled_survivor_integrand(float(sv), float(xv), lambda v: float(f(v))),
+            _scaled_survivor_integrand(float(sv), float(xv), ctx_exp),
             float(sv), float(sv) + h, ctx_exp.quad, singular_at_a=True)
         slow = num / _scaled_survivor(float(sv), float(xv), ctx_exp) / h
         assert abs(rv - slow) < 1e-6 * max(slow, 1e-9)

@@ -37,7 +37,8 @@ def test_sine_matches_simpson_oracle():
 
 def test_exponential_tail_with_envelope():
     env = DefaultDistribution.exponential(1.0)
-    value, err = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC, envelope=env)
+    value, err = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC,
+                                         truncation=env.tail_cut(SPEC.tail_cutoff_mass))
     assert abs(value - 1.0) <= 1e-8
     assert err > 0
 
@@ -89,8 +90,10 @@ def test_linearity_on_random_smooth_integrands():
 def test_truncation_consistency():
     env = DefaultDistribution.exponential(1.0)
     tight = QuadratureSpec(tail_cutoff_mass=5e-10)
-    v1, e1 = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC, envelope=env)
-    v2, _ = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, tight, envelope=env)
+    v1, e1 = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC,
+                                     truncation=env.tail_cut(SPEC.tail_cutoff_mass))
+    v2, _ = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, tight,
+                                    truncation=env.tail_cut(tight.tail_cutoff_mass))
     assert abs(v1 - v2) < e1
 
 
@@ -107,11 +110,6 @@ def test_nonconvergence_when_budget_exhausted():
     tiny = QuadratureSpec(max_subdivisions=1)
     with pytest.raises(NonConvergence):
         integrate_finite(lambda v: v ** -0.5, 0.0, 1.0, tiny)
-
-
-def test_envelope_required():
-    with pytest.raises(EnvelopeError):
-        integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC)
 
 
 def test_truncation_must_exceed_lower_bound():
