@@ -3,8 +3,8 @@
 A ``DefaultDistribution`` bundles the density f, distribution function F,
 quantile function, a seeded sampler, the effective horizon
 t1 = sup{t : F(t) < 1}, and the point where tail integrals against f stop
-(``tail_cut``).  Parametric families are backed by scipy.stats;
-user-tabulated densities are piecewise linear, renormalized at load.
+(``tail_cut``).  Parametric families are scipy.special kernels, written as
+scipy.stats evaluates them; tabulated densities are piecewise linear.
 
 All model quantities downstream are computed only for times below t1, and
 bounded-support laws are therefore admitted even though the density of a
@@ -15,16 +15,23 @@ import math
 
 import numpy as np
 from scipy import special as _special
-from scipy import stats as _stats
 
 from .errors import ConfigError, DomainError
-from .quadrature import QuadratureSpec, integrate_finite
 
 __all__ = ["DefaultDistribution", "parse_distribution"]
 
 _KINDS = ("exponential", "gamma", "uniform", "lognormal", "table")
 
-_MASS_TOL = 1e-9
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _lognormal_pdf(y, sigma):
+    # exp(-inf) = 0 at y = 0, without taking log(0).
+    out = np.zeros_like(y)
+    pos = y != 0
+    z = y[pos]
+    out[pos] = np.exp(-np.log(z) ** 2 / (2 * (sigma * sigma)) - np.log(sigma * z * _SQRT_2PI))
+    return out
 
 
 class DefaultDistribution:
@@ -44,38 +51,56 @@ class DefaultDistribution:
         if not all(math.isfinite(p) for p in self.params):
             raise DomainError(f"{kind} parameters must be finite, got {self.params}")
         self._table = table
-        self._frozen = None
+        # f(t) = pdf(y) / scale and F(t) = cdf(y) with y = (t - loc) / scale,
+        # on the support [lo, hi] in y; ppf maps u straight to t.
+        self.t1 = math.inf
+        self._loc, self._scale, self._lo, self._hi = 0.0, 1.0, 0.0, math.inf
         if kind == "exponential":
             (rate,) = self.params
             if rate <= 0:
                 raise DomainError("exponential rate must be positive")
-            self._frozen = _stats.expon(scale=1.0 / rate)
-            self.t1 = math.inf
+            self._scale = 1.0 / rate
+            self._pdf = lambda y: np.exp(-y)
+            self._cdf = lambda y: -_special.expm1(-y)
+            self._ppf = lambda u: -np.log1p(-u) / rate
         elif kind == "gamma":
             shape, rate = self.params
             if shape <= 0 or rate <= 0:
                 raise DomainError("gamma shape and rate must be positive")
-            self._frozen = _stats.gamma(a=shape, scale=1.0 / rate)
-            self.t1 = math.inf
+            self._scale = 1.0 / rate
+            log_norm = _special.gammaln(shape)
+            self._pdf = lambda y: np.exp(_special.xlogy(shape - 1.0, y) - y - log_norm)
+            self._cdf = lambda y: _special.gammainc(shape, y)
+            self._ppf = lambda u: _special.gammaincinv(shape, u) / rate
         elif kind == "uniform":
             lo, hi = self.params
             if not (0.0 <= lo < hi):
                 raise DomainError("uniform support must satisfy 0 <= a < b")
-            self._frozen = _stats.uniform(loc=lo, scale=hi - lo)
+            self._loc, self._scale, self._hi = lo, hi - lo, 1.0
             self.t1 = hi
+            self._pdf = np.ones_like
+            self._cdf = lambda y: y
+            self._ppf = lambda u: lo + (hi - lo) * u
         elif kind == "lognormal":
             mu, sigma = self.params
             if sigma <= 0:
                 raise DomainError("lognormal sigma must be positive")
-            self._frozen = _stats.lognorm(s=sigma, scale=math.exp(mu))
-            self.t1 = math.inf
+            self._scale = math.exp(mu)
+            self._pdf = lambda y: _lognormal_pdf(y, sigma)
+            self._cdf = lambda y: _special.ndtr(np.log(y) / sigma)
+            self._ppf = lambda u: np.where(
+                u == 0.0, 0.0, np.exp(mu + sigma * _special.ndtri(np.maximum(u, 1e-320))))
         else:  # table
-            t, f, cdf = table
-            self._t = t
-            self._f = f
-            self._cdf = cdf
-            self.t1 = float(t[-1])
-        self._check_unit_mass()
+            t, f, _ = table
+            self._lo, self._hi = float(t[0]), float(t[-1])
+            self.t1 = self._hi
+            self._pdf = lambda y: np.interp(y, t, f)
+            self._cdf = self._table_cdf
+            self._ppf = self._table_quantile
+
+    def __reduce__(self):
+        # The kernels are closures; rebuild them from the defining data.
+        return (DefaultDistribution, (self.kind, self.params, self._table))
 
     # -- factories ----------------------------------------------------------
 
@@ -99,13 +124,15 @@ class DefaultDistribution:
     def from_table(cls, t, f):
         """Piecewise-linear density through the points (t_i, f_i).
 
-        The knots must be strictly increasing with t_0 >= 0 and f >= 0.
+        Knots finite and strictly increasing with t_0 >= 0; f finite, >= 0.
         The density is renormalized so its trapezoid mass is exactly 1.
         """
         t = np.asarray(t, dtype=float)
         f = np.asarray(f, dtype=float)
         if t.ndim != 1 or t.size < 2 or f.shape != t.shape:
             raise DomainError("table needs matching 1-d arrays with >= 2 rows")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f))):
+            raise DomainError("table times and densities must be finite")
         if not np.all(np.diff(t) > 0):
             raise DomainError("table times must be strictly increasing")
         if t[0] < 0:
@@ -133,47 +160,30 @@ class DefaultDistribution:
 
     def density_f(self, t):
         """Density of the default time at ``t`` (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "table":
-            out = np.interp(t, self._t, self._f, left=0.0, right=0.0)
-        else:
-            out = self._frozen.pdf(t)
-            out = np.where(t < 0, 0.0, out)
-        return out if out.ndim else float(out)
+        ta, y, out = self._standardize(t)
+        # t < 0 as well: y = (t - loc) / scale can underflow to -0.0.
+        inside = (self._lo <= y) & (y <= self._hi) & (ta >= 0)
+        out[inside] = self._pdf(y[inside]) / self._scale
+        return out if np.ndim(t) else float(out[0])
 
     def cdf_F(self, t):
         """P(tau <= t) (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "table":
-            out = self._table_cdf(t)
-        else:
-            out = self._frozen.cdf(t)
-            out = np.where(t < 0, 0.0, out)
-        return out if out.ndim else float(out)
+        _, y, out = self._standardize(t)
+        out[y >= self._hi] = 1.0
+        inside = (self._lo < y) & (y < self._hi)
+        out[inside] = self._cdf(y[inside])
+        return out if np.ndim(t) else float(out[0])
 
     def quantile(self, u):
         """Inverse distribution function, defined for u in [0, 1).
 
-        Closed-form (or special-function) inversions per family; the frozen
-        scipy ppf carries too much per-call dispatch for path loops.
+        Closed-form (or special-function) inversion of each family, applied
+        to ``u`` as given, so a scalar draw stays a scalar computation.
         """
         u = np.asarray(u, dtype=float)
         if np.any((u < 0) | (u >= 1)):
             raise DomainError("quantile argument must lie in [0, 1)")
-        if self.kind == "exponential":
-            out = -np.log1p(-u) / self.params[0]
-        elif self.kind == "gamma":
-            shape, rate = self.params
-            out = _special.gammaincinv(shape, u) / rate
-        elif self.kind == "uniform":
-            lo, hi = self.params
-            out = lo + (hi - lo) * u
-        elif self.kind == "lognormal":
-            mu, sigma = self.params
-            out = np.exp(mu + sigma * _special.ndtri(np.maximum(u, 1e-320)))
-            out = np.where(u == 0.0, 0.0, out)
-        else:
-            out = self._table_quantile(u)
+        out = self._ppf(u)
         return out if out.ndim else float(out)
 
     def sample_tau(self, rng):
@@ -195,18 +205,23 @@ class DefaultDistribution:
 
     # -- internals ----------------------------------------------------------
 
+    def _standardize(self, t):
+        """t as a >= 1-d array (a scalar gets an array element's bits), y =
+        (t - loc) / scale, and an output array: NaN where y is, else zero."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        y = (t - self._loc) / self._scale
+        return t, y, np.where(np.isnan(y), np.nan, 0.0)
+
     def _table_cdf(self, t):
-        tk, fk, ck = self._t, self._f, self._cdf
-        idx = np.clip(np.searchsorted(tk, t, side="right") - 1, 0, len(tk) - 2)
-        x = np.clip(t - tk[idx], 0.0, None)
+        # Exact integral of the piecewise-linear density; t0 < t < t_last.
+        tk, fk, ck = self._table
+        idx = np.searchsorted(tk, t, side="right") - 1
+        x = t - tk[idx]
         slope = (fk[idx + 1] - fk[idx]) / (tk[idx + 1] - tk[idx])
-        val = ck[idx] + fk[idx] * x + 0.5 * slope * x * x
-        val = np.where(t <= tk[0], 0.0, val)
-        val = np.where(t >= tk[-1], 1.0, val)
-        return np.clip(val, 0.0, 1.0)
+        return np.clip(ck[idx] + fk[idx] * x + 0.5 * slope * x * x, 0.0, 1.0)
 
     def _table_quantile(self, u):
-        tk, fk, ck = self._t, self._f, self._cdf
+        tk, fk, ck = self._table
         idx = np.clip(np.searchsorted(ck, u, side="right") - 1, 0, len(tk) - 2)
         du = u - ck[idx]
         slope = (fk[idx + 1] - fk[idx]) / (tk[idx + 1] - tk[idx])
@@ -216,28 +231,9 @@ class DefaultDistribution:
         x = np.where(denom > 0, 2.0 * du / np.where(denom > 0, denom, 1.0), 0.0)
         return tk[idx] + np.clip(x, 0.0, tk[idx + 1] - tk[idx])
 
-    def _check_unit_mass(self):
-        spec = QuadratureSpec()
-        if self.kind == "table":
-            # Piecewise-linear density: integrate segment by segment so the
-            # adaptive rule never chases interpolation kinks.
-            mass = 0.0
-            for lo, hi in zip(self._t[:-1], self._t[1:]):
-                seg, _ = integrate_finite(self.density_f, float(lo), float(hi), spec)
-                mass += seg
-        else:
-            # From the lower support edge (the adaptive rule may never sample
-            # a short gap below it) up to the tail cut, plus the cut tail mass.
-            lower = self.params[0] if self.kind == "uniform" else 0.0
-            cut = self.tail_cut(spec.tail_cutoff_mass)
-            mass, _ = integrate_finite(self.density_f, lower, cut, spec)
-            mass += 1.0 - float(self.cdf_F(cut))
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise DomainError(f"density mass {mass!r} differs from 1")
-
     def __repr__(self):
         if self.kind == "table":
-            return f"DefaultDistribution(table, {len(self._t)} knots, t1={self.t1})"
+            return f"DefaultDistribution(table, {len(self._table[0])} knots, t1={self.t1})"
         args = ",".join(f"{p:g}" for p in self.params)
         return f"DefaultDistribution({self.kind}:{args})"
 

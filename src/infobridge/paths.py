@@ -134,7 +134,7 @@ def sample_path_direct(ctx, grid, rng):
     the step's left knot to the default time.
     """
     gen = _generator_of(rng)
-    tau = float(ctx.dist.quantile(gen.random()))
+    tau = ctx.dist.sample_tau(gen)
     knots = grid.knots
     z = gen.standard_normal(len(knots) - 1)
     w = np.concatenate([[0.0], np.cumsum(np.sqrt(np.diff(knots)) * z)])

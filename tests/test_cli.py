@@ -22,12 +22,17 @@ def test_simulate_schema_and_determinism(tmp_path):
     assert lines[0] == "path_id,t,beta,in_default"
     assert len(lines) - 1 >= 2 * 5
     assert _read(os.path.join(d1, "paths.csv")) == _read(os.path.join(d2, "paths.csv"))
+    # a valid law with a wide spread loads and runs
+    assert main(args + ["--dist", "lognormal:0,3", "--out", str(tmp_path / "c")]) == 0
 
 
 def test_simulate_rejects_zero_dt(tmp_path):
     assert main(["simulate", "--dt", "0", "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--dt", "nan", "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--t-max", "inf", "--out", str(tmp_path)]) == 2
+    law = tmp_path / "law.csv"
+    law.write_text("t,f\n0,1\n1,nan\n2,0.5\n")
+    assert main(["simulate", "--dist", f"table:{law}", "--out", str(tmp_path)]) == 2
 
 
 def test_survival_curve(tmp_path):

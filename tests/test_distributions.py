@@ -1,7 +1,9 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from infobridge.distributions import DefaultDistribution, parse_distribution
@@ -44,6 +46,14 @@ def test_cdf_zero_at_origin():
               DefaultDistribution.uniform(0.0, 2.0),
               DefaultDistribution.lognormal(0.0, 0.5)):
         assert d.cdf_F(0.0) == 0.0
+
+
+def test_scalar_density_is_the_array_value():
+    # numpy's 0-d log loop and its array loop differ by one ulp at this t;
+    # scipy.stats evaluates on arrays, and so must a scalar call.
+    d = DefaultDistribution.lognormal(0.0, 0.5)
+    t = 4.847166970951467
+    assert d.density_f(t) == d.density_f(np.array([t]))[0] == stats.lognorm(s=0.5).pdf(t)
 
 
 def test_exponential_median():
@@ -142,6 +152,7 @@ def test_table_roundtrip_and_quantile():
     back = d.cdf_F(q)
     assert np.max(np.abs(back - u)) < 1e-12
     assert np.all(np.diff(q) > 0)
+    assert np.array_equal(pickle.loads(pickle.dumps(d)).quantile(u), q)
 
 
 def test_table_is_renormalized():
@@ -169,6 +180,12 @@ def test_table_validation():
         DefaultDistribution.from_table([0.0, 1.0], [1.0, -1.0])
     with pytest.raises(DomainError):
         DefaultDistribution.from_table([-1.0, 1.0], [1.0, 1.0])
+    for t, f in (([0.0, 1.0, 2.0], [1.0, math.nan, 1.0]),
+                 ([0.0, 1.0, 2.0], [1.0, math.inf, 1.0]),
+                 ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]),
+                 ([0.0, math.nan, 2.0], [1.0, 1.0, 1.0])):
+        with pytest.raises(DomainError):
+            DefaultDistribution.from_table(t, f)
 
 
 def test_parse_distribution():
@@ -176,9 +193,10 @@ def test_parse_distribution():
     assert parse_distribution("gamma:2,1").kind == "gamma"
     assert parse_distribution("uniform:0,2").t1 == 2.0
     assert parse_distribution("lognormal:0.0,0.5").kind == "lognormal"
-    # valid supports whose lower edge the mass check has to start from
+    # valid supports with a positive lower edge, and a wide lognormal spread
     assert parse_distribution("uniform:0.001,2.9").t1 == 2.9
     assert parse_distribution("uniform:0.0001,0.9").t1 == 0.9
+    assert parse_distribution("lognormal:0,3").kind == "lognormal"
     for bad in ("exp", "exp:a", "gamma:1", "weibull:1,2", "uniform:2,1",
                 "exp:nan", "gamma:inf,1", "lognormal:nan,0.5", "uniform:0,inf"):
         with pytest.raises(ConfigError):
@@ -189,3 +207,53 @@ def test_quantile_domain():
     d = DefaultDistribution.exponential(1.0)
     with pytest.raises(DomainError):
         d.quantile(1.0)
+
+
+# scipy.stats is the reference for the closed-form kernels: per family, the
+# parameter strategy and the frozen scipy law with the same parameters.
+_SCIPY_FAMILIES = {
+    "exponential": (st.tuples(st.floats(1e-3, 1e3)),
+                    lambda rate: stats.expon(scale=1.0 / rate)),
+    "gamma": (st.tuples(st.floats(0.05, 50.0), st.floats(1e-2, 1e2)),
+              lambda shape, rate: stats.gamma(a=shape, scale=1.0 / rate)),
+    "uniform": (st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 10.0)).map(
+                    lambda p: (p[0], p[0] + p[1])),
+                lambda lo, hi: stats.uniform(loc=lo, scale=hi - lo)),
+    "lognormal": (st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 3.0)),
+                  lambda mu, sigma: stats.lognorm(s=sigma, scale=math.exp(mu))),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(_SCIPY_FAMILIES)))
+def test_kernels_match_scipy_stats(data, kind):
+    params_strategy, frozen_law = _SCIPY_FAMILIES[kind]
+    params = data.draw(params_strategy)
+    d = DefaultDistribution(kind, params)
+    frozen = frozen_law(*params)
+    edges = [0.0, d.tail_cut(1e-12)] + ([d.params[0]] if kind == "uniform" else [])
+    t = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [-1.0, -1e-300, -0.0, 1e-300, np.inf],
+        d.quantile(np.linspace(0.0, 0.999, 7)),
+        data.draw(st.lists(st.floats(-5.0, 1e3), max_size=20)),
+    ])
+    with np.errstate(all="ignore"):
+        f_ref = np.where(t < 0, 0.0, frozen.pdf(t))
+        cdf_ref = np.where(t < 0, 0.0, frozen.cdf(t))
+        assert _bits(d.density_f(t)) == _bits(f_ref)
+        assert _bits(d.cdf_F(t)) == _bits(cdf_ref)
+        clone = pickle.loads(pickle.dumps(d))
+        assert _bits(clone.density_f(t)) == _bits(f_ref)
+        for v in t.tolist():
+            f, cdf = d.density_f(v), d.cdf_F(v)
+            assert type(f) is float and type(cdf) is float
+            assert _bits(f) == _bits(np.where(v < 0, 0.0, frozen.pdf(v)))
+            assert _bits(cdf) == _bits(np.where(v < 0, 0.0, frozen.cdf(v)))
+    u = np.array(data.draw(st.lists(st.floats(0.0, 0.999999), min_size=1, max_size=10)))
+    assert type(d.quantile(float(u[0]))) is float
+    assert np.max(np.abs(d.cdf_F(d.quantile(u)) - u)) <= 1e-9

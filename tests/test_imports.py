@@ -1,4 +1,5 @@
-"""Every top-level import in the package and the tests is used.
+"""Every top-level import in the package and the tests is used, and the
+command line does not pull in scipy.stats.
 
 A stdlib ``ast`` scan stands in for a linter: a name bound by a module-level
 ``import`` must be read somewhere in the module, or be listed in its
@@ -7,6 +8,9 @@ re-exported API.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,13 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about half a second to import; the laws are closed
+    # form and only the tests use scipy.stats as a reference.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, infobridge.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
