@@ -21,6 +21,7 @@ from infobridge import (
     laplacian_approximation,
     occupation_estimate,
     sample_path_direct,
+    window_survivor,
 )
 
 ctx = ModelContext(DefaultDistribution.exponential(1.0))
@@ -36,8 +37,9 @@ for i in range(n):
     p = sample_path_direct(ctx, grid, RandomStream(88, i))
     lt = occupation_estimate(p, 0.0, math.sqrt(dt))
     k1 = compensator_curve(p, lt, ctx)[p.grid.index_of(1.0)]
-    gaps = [abs(laplacian_approximation(p, h, ctx)[p.grid.index_of(1.0)] - k1)
-            for h in lags]
+    survivor = window_survivor(p, ctx)  # the rates' lag-free denominator
+    gaps = [abs(laplacian_approximation(p, h, ctx, survivor)[p.grid.index_of(1.0)]
+                - k1) for h in lags]
     sums += gaps
     print(f"  {i:4d}   " + "   ".join(f"{g:7.4f}" for g in gaps))
 print("  mean   " + "   ".join(f"{g:7.4f}" for g in sums / n))

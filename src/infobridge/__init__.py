@@ -53,6 +53,7 @@ from .compensator import (
     indicator_curve,
     laplacian_approximation,
     parse_functional,
+    window_survivor,
 )
 from .paths import (
     InformationPath,

@@ -13,8 +13,10 @@ convergence   window-approximation gaps against the local-time compensator
               on fixed seeds (``convergence.csv``, ``report.txt``)
 
 Exit codes: 0 success / all gates pass, 1 gate failure, 2 configuration
-error, 3 I/O error.  Worker count comes from the INFOBRIDGE_WORKERS
-environment variable (default: available CPUs); it must be an integer.
+error, 3 I/O error.  The compensator's worker count comes from the
+INFOBRIDGE_WORKERS environment variable (default: available CPUs); it must
+be an integer.  ``convergence`` runs its paths serially in this process and
+ignores the variable.
 """
 
 import argparse
@@ -25,7 +27,7 @@ import sys
 import numpy as np
 
 from . import laws
-from .compensator import build_curve, laplacian_approximation
+from .compensator import build_curve, laplacian_approximation, window_survivor
 from .config import load_config
 from .distributions import parse_distribution
 from .ensemble import (
@@ -156,8 +158,9 @@ def cmd_convergence(cfg):
             lt = occupation_estimate(path, 0.0, cfg.eps)
         curve = build_curve(path, lt, ctx, weights=weights)
         kref = curve.K[idx]
+        survivor = window_survivor(path, ctx)
         for a, h in enumerate(cfg.kh):
-            kh = laplacian_approximation(path, h, ctx)[idx]
+            kh = laplacian_approximation(path, h, ctx, survivor)[idx]
             gaps[a] += np.abs(kh - kref)
     gaps /= cfg.paths
     out = _outdir(cfg)

@@ -32,6 +32,7 @@ __all__ = [
     "indicator_curve",
     "compensator_curve",
     "laplacian_approximation",
+    "window_survivor",
     "averaged_gaussian_kernel",
     "build_curve",
     "parse_functional",
@@ -86,7 +87,25 @@ def compensator_curve(path, lt, ctx, weights=None):
     return np.concatenate([[0.0], np.cumsum(incr)])
 
 
-def laplacian_approximation(path, h, ctx):
+def _window_knots(path, ctx):
+    """Left knots of the steps that carry a window rate: positive knots
+    before both the default time and the horizon t1."""
+    left = np.arange(1, len(path.spans))
+    return left[path.grid.knots[left] < min(path.tau, ctx.t1)]
+
+
+def window_survivor(path, ctx):
+    """Scaled survivor densities at the window knots of ``path``.
+
+    This is the denominator of every window rate along the path and does not
+    depend on the lag; compute it once and pass it to
+    ``laplacian_approximation`` for each lag.
+    """
+    idx = _window_knots(path, ctx)
+    return laws.scaled_tail_grid(path.grid.knots[idx], path.beta[idx], ctx)
+
+
+def laplacian_approximation(path, h, ctx, survivor=None):
     """Window approximation of the compensator with lag h.
 
     Each step before the default time contributes its length times the
@@ -95,17 +114,20 @@ def laplacian_approximation(path, h, ctx):
     conditional jump probability is zero once the default has happened).
     The time-zero knot uses the rate of the first positive knot, matching the
     compensator's time-zero convention.
+
+    ``survivor`` is ``window_survivor(path, ctx)``, the lag-free denominator
+    of the rates.  Passing it saves one tail integral per knot for every lag
+    after the first; the curve is the same bits either way.
     """
-    if h <= 0.0:
-        raise DomainError(f"window lag must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"window lag must be positive and finite, got {h}")
     knots = path.grid.knots
     spans = path.spans
     incr = np.zeros(len(spans))
-    left = np.arange(1, len(spans))
-    live = knots[left] < min(path.tau, ctx.t1)
-    idx = left[live]
+    idx = _window_knots(path, ctx)
     if len(idx):
-        rates = laws.hazard_window_rates(ctx, knots[idx], path.beta[idx], h)
+        rates = laws.hazard_window_rates(ctx, knots[idx], path.beta[idx], h,
+                                         survivor=survivor)
         incr[idx] = spans[idx] * rates
         if knots[0] < path.tau and idx[0] == 1:
             incr[0] = spans[0] * rates[0]

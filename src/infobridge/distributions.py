@@ -160,15 +160,20 @@ class DefaultDistribution:
 
     def density_f(self, t):
         """Density of the default time at ``t`` (vectorized)."""
-        ta, y, out = self._standardize(t)
+        ta, y = self._standardize(t)
         # t < 0 as well: y = (t - loc) / scale can underflow to -0.0.
         inside = (self._lo <= y) & (y <= self._hi) & (ta >= 0)
-        out[inside] = self._pdf(y[inside]) / self._scale
+        if inside.all():
+            out = self._pdf(y) / self._scale
+        else:
+            out = np.where(np.isnan(y), np.nan, 0.0)
+            out[inside] = self._pdf(y[inside]) / self._scale
         return out if np.ndim(t) else float(out[0])
 
     def cdf_F(self, t):
         """P(tau <= t) (vectorized)."""
-        _, y, out = self._standardize(t)
+        _, y = self._standardize(t)
+        out = np.where(np.isnan(y), np.nan, 0.0)
         out[y >= self._hi] = 1.0
         inside = (self._lo < y) & (y < self._hi)
         out[inside] = self._cdf(y[inside])
@@ -206,11 +211,10 @@ class DefaultDistribution:
     # -- internals ----------------------------------------------------------
 
     def _standardize(self, t):
-        """t as a >= 1-d array (a scalar gets an array element's bits), y =
-        (t - loc) / scale, and an output array: NaN where y is, else zero."""
+        """t as a >= 1-d array (a scalar gets an array element's bits) and
+        y = (t - loc) / scale."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        y = (t - self._loc) / self._scale
-        return t, y, np.where(np.isnan(y), np.nan, 0.0)
+        return t, (t - self._loc) / self._scale
 
     def _table_cdf(self, t):
         # Exact integral of the piecewise-linear density; t0 < t < t_last.

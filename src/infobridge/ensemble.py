@@ -24,6 +24,7 @@ from .compensator import (
     compensator_curve,
     laplacian_approximation,
     parse_functional,
+    window_survivor,
 )
 from .errors import ConfigError, DomainError, InsufficientPaths
 from .localtime import BandCreditTable, occupation_estimate, tanaka_estimate
@@ -160,8 +161,11 @@ def _path_row(job, i, block, k):
     block["H"][k] = times >= path.tau
     block["K"][k] = kcum[t_idx]
     block["beta"][k] = path.beta[np.searchsorted(knots, np.asarray(job.s_nodes))]
-    for a, h in enumerate(job.kh):
-        block["Kh"][k, a] = laplacian_approximation(path, h, job.ctx)[t_idx]
+    if job.kh:
+        survivor = window_survivor(path, job.ctx)
+        for a, h in enumerate(job.kh):
+            block["Kh"][k, a] = laplacian_approximation(path, h, job.ctx,
+                                                        survivor)[t_idx]
     if job.drift_table is not None:
         from .paths import recover_b
         b = recover_b(path, job.ctx, drift_table=job.drift_table)

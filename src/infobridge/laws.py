@@ -358,14 +358,27 @@ def scaled_tail_grid(s, x, ctx, reversion=False, upper=None):
     f = ctx.dist.density_f
 
     def accumulate(zn, wn, s_rows, x_rows, jacobian):
-        v = s_rows[:, None] + zn * zn
+        # 2 sqrt(v / (2 pi s)) exp(-(x/z)^2 / 2) f(v) [/ z^2] * w * jacobian,
+        # in place on two (rows x nodes) buffers; each product keeps the
+        # operand order of the plain expression, so the sums are bit-identical.
+        s_col = s_rows[:, None]
+        v = zn * zn
+        v += s_col
         with np.errstate(divide="ignore", over="ignore"):
-            core = 2.0 * np.sqrt(v / (2.0 * math.pi * s_rows[:, None]))
-            expo = -0.5 * (x_rows[:, None] / zn) ** 2
-            vals = core * np.exp(expo) * f(v)
+            vals = v / (2.0 * math.pi * s_col)
+            np.sqrt(vals, out=vals)
+            vals *= 2.0
+            expo = x_rows[:, None] / zn
+            expo *= expo
+            expo *= -0.5
+            np.exp(expo, out=expo)
+            vals *= expo
+            vals *= f(v)
             if reversion:
-                vals = vals / (zn * zn)
-        return np.sum(vals * wn * jacobian, axis=1)
+                vals /= np.multiply(zn, zn, out=expo)
+        vals *= wn
+        vals *= jacobian
+        return np.sum(vals, axis=1)
 
     vals_live = np.zeros(sl.shape)
 
@@ -417,15 +430,31 @@ def _zero_level_weights(ctx, s):
     return w
 
 
-def hazard_window_rates(ctx, s, x, h):
+def hazard_window_rates(ctx, s, x, h, survivor=None):
     """Vectorized conditional rate (1/h) P(tau in (s, s+h) | beta_s = x, tau > s).
 
     Ratio of the h-window numerator to the survivor density; the common
-    exp(-x^2/(2s)) scale cancels, so the rate is stable for any |x|.
+    exp(-x^2/(2s)) scale cancels, so the rate is stable for any |x|.  The
+    window stops at the tail cut like the survivor integral does: where
+    s + h reaches past it (t1 of a bounded law) the two integrals are the
+    same and the rate is exactly 1/h, with no panel straddling the edge of f.
+
+    The denominator, ``scaled_tail_grid(s, x, ctx)``, does not depend on h.
+    Callers that need several lags at the same states compute it once and
+    pass it as ``survivor`` (same shape as ``s``); the rates are then the
+    same bits as without it.  The lag must be positive and finite.
     """
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"window lag must be positive and finite, got {h}")
     s = np.asarray(s, dtype=float)
-    num = scaled_tail_grid(s, x, ctx, upper=s + h)
-    den = scaled_tail_grid(s, x, ctx)
+    num = scaled_tail_grid(s, x, ctx, upper=np.minimum(s + h, ctx.t_cut))
+    if survivor is None:
+        den = scaled_tail_grid(s, x, ctx)
+    else:
+        den = np.asarray(survivor, dtype=float)
+        if den.shape != s.shape:
+            raise DomainError(f"survivor densities have shape {den.shape}, "
+                              f"states have shape {s.shape}")
     out = np.zeros(s.shape)
     ok = den > 0.0
     out[ok] = num[ok] / den[ok] / h

@@ -13,9 +13,10 @@ from infobridge.compensator import (
     indicator_curve,
     laplacian_approximation,
     parse_functional,
+    window_survivor,
 )
 from infobridge.config import RunConfig
-from infobridge.distributions import DefaultDistribution
+from infobridge.distributions import DefaultDistribution, parse_distribution
 from infobridge.ensemble import (
     EnsembleTable,
     build_job,
@@ -143,8 +144,36 @@ def test_window_approximation_mean_matches_window_probability(ctx_exp):
 def test_window_rejects_bad_lag(ctx_exp):
     grid = TimeGrid.regular(1.0, 0.1)
     p = sample_path_direct(ctx_exp, grid, RandomStream(3, 0))
-    with pytest.raises(DomainError):
-        laplacian_approximation(p, 0.0, ctx_exp)
+    for h in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            laplacian_approximation(p, h, ctx_exp)
+
+
+@pytest.mark.parametrize("spec,t_max", [("exp:1.0", 1.0), ("uniform:0,0.8", 1.0),
+                                        ("uniform:0,0.8", 0.5)])
+def test_window_shared_survivor_is_bit_identical(spec, t_max):
+    # With t_max 1 on uniform:0,0.8 every path defaults before t1 < t_max and
+    # the last knots have s + h > t1; with t_max 0.5 some paths outlive the grid.
+    ctx = ModelContext(parse_distribution(spec))
+    grid = TimeGrid.regular(t_max, 0.01)
+    paths = [sample_path_direct(ctx, grid, RandomStream(61, i)) for i in range(12)]
+    assert any(p.tau <= t_max for p in paths)
+    assert any(p.tau > t_max for p in paths) or ctx.t1 < t_max
+    for p in paths:
+        survivor = window_survivor(p, ctx)
+        for h in (0.2, 0.1, 0.05, 0.025):
+            assert np.array_equal(laplacian_approximation(p, h, ctx, survivor),
+                                  laplacian_approximation(p, h, ctx))
+
+
+def test_ensemble_window_matches_unshared_curves(ctx_exp):
+    job = _job(ctx_exp, dt=0.01, kh=(0.2, 0.05))
+    table = run_ensemble(job, 24, workers=1)
+    t_idx = np.searchsorted(job.grid.knots, np.asarray(job.times))
+    for i in range(24):
+        p = sample_path_direct(ctx_exp, job.grid, RandomStream(job.master_seed, i))
+        unshared = [laplacian_approximation(p, h, ctx_exp)[t_idx] for h in job.kh]
+        assert np.array_equal(table.Kh[i], np.array(unshared))
 
 
 # -- averaged Gaussian kernel ------------------------------------------------------

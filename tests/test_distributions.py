@@ -257,3 +257,34 @@ def test_kernels_match_scipy_stats(data, kind):
     u = np.array(data.draw(st.lists(st.floats(0.0, 0.999999), min_size=1, max_size=10)))
     assert type(d.quantile(float(u[0]))) is float
     assert np.max(np.abs(d.cdf_F(d.quantile(u)) - u)) <= 1e-9
+
+
+@st.composite
+def _any_law(draw):
+    """A parametric law from the scipy-checked families, or a table law."""
+    kind = draw(st.sampled_from(sorted(_SCIPY_FAMILIES) + ["table"]))
+    if kind != "table":
+        return DefaultDistribution(kind, draw(_SCIPY_FAMILIES[kind][0]))
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=12))
+    t = draw(st.floats(0.0, 2.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    f = draw(st.lists(st.floats(0.0, 5.0), min_size=len(t), max_size=len(t)))
+    return DefaultDistribution.from_table(t, np.array(f) + 1e-3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=_any_law())
+def test_density_array_matches_scalar_calls(data, d):
+    # Nodes all inside the support take the whole-array route; a mix with
+    # negative, beyond-support and NaN nodes takes the masked route.
+    inside = d.quantile(np.array(data.draw(
+        st.lists(st.floats(0.0, 0.999), min_size=1, max_size=30))))
+    beyond = d.tail_cut(1e-12) + np.array(data.draw(
+        st.lists(st.floats(1e-9, 100.0), max_size=5)))
+    negative = np.array(data.draw(st.lists(st.floats(-50.0, -1e-300), max_size=5)))
+    mixed = np.concatenate([inside, beyond, negative, [np.nan]])
+    mixed = mixed[np.array(data.draw(st.permutations(range(len(mixed)))))]
+    with np.errstate(all="ignore"):
+        for t in (inside, mixed):
+            scalars = np.array([d.density_f(float(v)) for v in t])
+            assert _bits(d.density_f(t)) == _bits(scalars)
+            assert _bits(d.density_f(t.reshape(1, -1))) == _bits(scalars.reshape(1, -1))

@@ -338,21 +338,37 @@ def test_compensator_weights_masked_beyond_horizon(ctx_unif):
     assert np.all(w[:4] > 0.0)
 
 
-def test_hazard_window_rates_match_scalar(ctx_exp):
+def test_hazard_window_rates_match_scalar():
+    from infobridge.distributions import parse_distribution
     from infobridge.laws import _scaled_survivor_integrand
     from infobridge.quadrature import integrate_finite
 
     h = 0.1
-    s = np.array([0.3, 1.0, 1.7])
-    x = np.array([0.2, -0.8, 1.5])
-    rates = hazard_window_rates(ctx_exp, s, x, h)
-    for sv, xv, rv in zip(s, x, rates):
-        num, _ = integrate_finite(
-            _scaled_survivor_integrand(float(sv), float(xv), ctx_exp),
-            float(sv), float(sv) + h, ctx_exp.quad, singular_at_a=True)
-        slow = num / _scaled_survivor(float(sv), float(xv), ctx_exp) / h
-        assert abs(rv - slow) < 1e-6 * max(slow, 1e-9)
-        assert 0.0 <= rv <= 1.0 / h
+    cases = [
+        ("exp:1.0", (0.3, 1.0, 1.7, 1.2), (0.2, -0.8, 1.5, 3.5)),
+        ("gamma:2,2", (0.3, 1.0, 1.7, 1.2), (0.2, -3.2, 1.5, 0.05)),
+        # the last two rows have s + h > t1, where the rate is 1/h
+        ("uniform:0,3", (0.3, 1.7, 2.5, 2.95, 2.97), (0.2, -3.2, 1.0, 0.4, 0.3)),
+    ]
+    for spec, s, x in cases:
+        ctx = ModelContext(parse_distribution(spec))
+        rates = hazard_window_rates(ctx, np.array(s), np.array(x), h)
+        for sv, xv, rv in zip(s, x, rates):
+            num, _ = integrate_finite(
+                _scaled_survivor_integrand(sv, xv, ctx),
+                sv, min(sv + h, ctx.t_cut), ctx.quad, singular_at_a=True)
+            slow = num / _scaled_survivor(sv, xv, ctx) / h
+            assert abs(rv - slow) < 1e-6 * max(slow, 1e-9), (spec, sv, xv)
+            assert 0.0 <= rv <= 1.0 / h
+
+
+def test_hazard_window_rates_reject_bad_input(ctx_exp):
+    s, x = np.array([0.5, 1.0]), np.array([0.2, -0.4])
+    for h in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            hazard_window_rates(ctx_exp, s, x, h)
+    with pytest.raises(DomainError):
+        hazard_window_rates(ctx_exp, s, x, 0.1, survivor=np.ones(3))
 
 
 def test_hazard_window_consistent_with_indicator_expectation(ctx_exp):
