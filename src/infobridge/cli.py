@@ -75,8 +75,8 @@ def cmd_simulate(cfg):
 
 def cmd_survival(cfg, t, x):
     ctx = _context(cfg)
-    if not (0.0 < t < min(cfg.t_max, ctx.t1)):
-        raise DomainError(f"t={t} must lie in (0, min(t_max, t1))")
+    if not (0.0 < t < min(cfg.t_max, ctx.t_cut)):
+        raise DomainError(f"t={t} must lie in (0, min(t_max, t_cut={ctx.t_cut}))")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
     if x == 0.0:
@@ -146,7 +146,7 @@ def cmd_compensator(cfg):
 def cmd_convergence(cfg):
     ctx = _context(cfg)
     grid = TimeGrid.regular(cfg.t_max, cfg.dt)
-    weights = laws.compensator_weights(ctx, grid.knots, grid.dt)
+    weights = laws.compensator_weights(ctx, grid.knots)
     times = cfg.report_times
     idx = [grid.index_of(t) for t in times]
     gaps = np.zeros((len(cfg.kh), len(times)))

@@ -66,10 +66,11 @@ def compensator_curve(path, lt, ctx, weights=None):
     """Compensator of the default indicator along one path.
 
     Accumulates weight(s) * (local-time increment at level 0) over the steps
-    before the default time, where weight(s) = f(s) / survivor_density(s, 0).
-    Accumulation starts at the first positive knot: the step out of the time
-    origin is skipped, and the local-time mass omitted there carries total
-    compensator weight F(dt), negligible at any usable step size.
+    before the default time, where weight(s) = f(s) / survivor_density(s, 0)
+    at the left knot s.  The weight lives on the law domain (0, t_cut): it is
+    zero at s = 0, so the step out of the time origin adds nothing (the
+    local-time mass there carries total compensator weight F(dt), negligible
+    at any usable step size), and zero from the tail cut on.
 
     ``lt`` must be a local-time curve at level 0 on the same grid; pass
     ``weights`` (from ``laws.compensator_weights``) to amortize the per-knot
@@ -81,17 +82,16 @@ def compensator_curve(path, lt, ctx, weights=None):
             lt.grid.knots, path.grid.knots):
         raise DomainError("local-time curve lives on a different grid")
     if weights is None:
-        weights = laws.compensator_weights(ctx, path.grid.knots, path.grid.dt)
+        weights = laws.compensator_weights(ctx, path.grid.knots)
     incr = weights[:-1] * np.diff(lt.values)
-    incr[0] = 0.0
     return np.concatenate([[0.0], np.cumsum(incr)])
 
 
 def _window_knots(path, ctx):
     """Left knots of the steps that carry a window rate: positive knots
-    before both the default time and the horizon t1."""
+    before both the default time and the tail cut."""
     left = np.arange(1, len(path.spans))
-    return left[path.grid.knots[left] < min(path.tau, ctx.t1)]
+    return left[path.grid.knots[left] < min(path.tau, ctx.t_cut)]
 
 
 def window_survivor(path, ctx):
@@ -112,8 +112,8 @@ def laplacian_approximation(path, h, ctx, survivor=None):
     conditional rate (1/h) P(tau in (s, s+h) | beta_s, tau > s) evaluated at
     the left knot; steps from the default time on contribute nothing (the
     conditional jump probability is zero once the default has happened).
-    The time-zero knot uses the rate of the first positive knot, matching the
-    compensator's time-zero convention.
+    Time zero lies outside the law domain, so the step out of it uses the
+    rate of the first positive knot.
 
     ``survivor`` is ``window_survivor(path, ctx)``, the lag-free denominator
     of the rates.  Passing it saves one tail integral per knot for every lag

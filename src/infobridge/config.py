@@ -28,7 +28,6 @@ class RunConfig:
     tail_cutoff_mass: float = 1e-9
     lt_estimator: str = "occupation"
     lt_eps_coeff: float = 1.0
-    lt_eps_power: float = 0.5
     kh: tuple = ()
     report_times: tuple = (0.5, 1.0, 2.0)
     residual_pairs: tuple = ((0.25, 0.75), (0.5, 1.0), (1.0, 2.0))
@@ -39,8 +38,8 @@ class RunConfig:
 
     @property
     def eps(self):
-        """Occupation-estimator bandwidth, lt_eps_coeff * dt ** lt_eps_power."""
-        return self.lt_eps_coeff * self.dt ** self.lt_eps_power
+        """Occupation-estimator band half-width, lt_eps_coeff * sqrt(dt)."""
+        return self.lt_eps_coeff * self.dt ** 0.5
 
     def validate(self, command=None):
         """Check base consistency; report-time/grid alignment is enforced only
@@ -58,8 +57,8 @@ class RunConfig:
             raise ConfigError(f"paths must be at least 1, got {self.paths}")
         if self.lt_estimator not in ("occupation", "tanaka"):
             raise ConfigError(f"unknown local-time estimator {self.lt_estimator!r}")
-        if self.lt_eps_coeff <= 0.0 or self.lt_eps_power <= 0.0:
-            raise ConfigError("epsilon policy parameters must be positive")
+        if self.lt_eps_coeff <= 0.0:
+            raise ConfigError("lt_eps_coeff must be positive")
         if self.gate_multiplier <= 0.0:
             raise ConfigError("gate_multiplier must be positive")
         if any(h <= 0.0 for h in self.kh):
@@ -128,7 +127,7 @@ _SCHEMA = {
     "dist": "str", "dt": "float", "t_max": "float", "paths": "int",
     "seed": "int", "rel_tol": "float", "abs_tol": "float",
     "tail_cutoff_mass": "float", "lt_estimator": "str",
-    "lt_eps_coeff": "float", "lt_eps_power": "float", "kh": "floats",
+    "lt_eps_coeff": "float", "kh": "floats",
     "report_times": "floats", "residual_pairs": "pairs",
     "functionals": "strs", "gate_multiplier": "float", "out": "str",
     "zero_k": "bool",

@@ -2,13 +2,14 @@
 
 A ``DefaultDistribution`` bundles the density f, distribution function F,
 quantile function, a seeded sampler, the effective horizon
-t1 = sup{t : F(t) < 1}, and the point where tail integrals against f stop
-(``tail_cut``).  Parametric families are scipy.special kernels, written as
-scipy.stats evaluates them; tabulated densities are piecewise linear.
+t1 = sup{t : F(t) < 1}, the point where tail integrals against f stop
+(``tail_cut``), and the kinks of a tabulated f (``breakpoints``).
+Parametric families are scipy.special kernels, written as scipy.stats
+evaluates them; tabulated densities are piecewise linear.
 
-All model quantities downstream are computed only for times below t1, and
-bounded-support laws are therefore admitted even though the density of a
-uniform law is discontinuous at its endpoints.
+All model quantities downstream are computed only for times below the tail
+cut, and bounded-support laws are therefore admitted even though the
+density of a uniform law is discontinuous at its endpoints.
 """
 
 import math
@@ -54,6 +55,8 @@ class DefaultDistribution:
         # f(t) = pdf(y) / scale and F(t) = cdf(y) with y = (t - loc) / scale,
         # on the support [lo, hi] in y; ppf maps u straight to t.
         self.t1 = math.inf
+        # Kinks of f where tail integrals should start a new subinterval.
+        self.breakpoints = np.empty(0)
         self._loc, self._scale, self._lo, self._hi = 0.0, 1.0, 0.0, math.inf
         if kind == "exponential":
             (rate,) = self.params
@@ -94,6 +97,7 @@ class DefaultDistribution:
             t, f, _ = table
             self._lo, self._hi = float(t[0]), float(t[-1])
             self.t1 = self._hi
+            self.breakpoints = t
             self._pdf = lambda y: np.interp(y, t, f)
             self._cdf = self._table_cdf
             self._ppf = self._table_quantile

@@ -123,7 +123,7 @@ def build_job(ctx, grid, cfg):
     s_nodes = tuple(sorted({s for s, _ in cfg.residual_pairs}))
     for t in times:
         grid.index_of(t)  # validates alignment
-    weights = laws.compensator_weights(ctx, grid.knots, grid.dt)
+    weights = laws.compensator_weights(ctx, grid.knots)
     step = float(grid.knots[1] - grid.knots[0])
     table = BandCreditTable(step, cfg.eps) if cfg.lt_estimator == "occupation" else None
     return EnsembleJob(
@@ -232,7 +232,7 @@ def run_ensemble(job, n_paths, workers=None):
     else:
         import multiprocessing as mp
 
-        mp_ctx = mp.get_context("fork")
+        mp_ctx = mp.get_context()
         with mp_ctx.Pool(workers, initializer=_set_job, initargs=(job,)) as pool:
             for start, block in pool.imap(_run_chunk, chunks):
                 paste(start, block)

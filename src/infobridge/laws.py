@@ -33,7 +33,10 @@ integrand retains an integrable (v-s)**-0.5 endpoint singularity that the
 quadrature layer removes by substitution.
 
 Every tail integral stops at the context's ``t_cut``: the law's ``tail_cut``
-at the quadrature policy's cutoff mass.  Two evaluation routes exist, each
+at the quadrature policy's cutoff mass.  That cut is also the one domain of
+every law: states (s, x) are admitted for 0 < s < t_cut, survival is 0 from
+t_cut on, and the compensator weight is 0 at s = 0 (it vanishes like sqrt(s)
+there) and from t_cut on.  Two evaluation routes exist, each
 with one entry: scalar adaptive quadrature through ``_tail`` (the reference
 used by the public operations) and a fixed-rule Gauss-Legendre panel scheme
 vectorized over grid knots, ``scaled_tail_grid`` (used to build the weight,
@@ -42,7 +45,7 @@ cross-checked in the test suite.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,17 +85,14 @@ class ModelContext:
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
-    def t1(self):
-        return self.dist.t1
-
-    @property
     def t_cut(self):
-        """Where every tail integral against f stops."""
+        """Where every tail integral against f stops; the law domain is
+        (0, t_cut)."""
         return self.dist.tail_cut(self.quad.tail_cutoff_mass)
 
     def _check_interior_time(self, s, name="s"):
-        if not (0.0 < s < self.t1):
-            raise DomainError(f"{name}={s} outside (0, t1={self.t1})")
+        if not (0.0 < s < self.t_cut):
+            raise DomainError(f"{name}={s} outside (0, t_cut={self.t_cut})")
 
 
 def gaussian_density(t, x, y):
@@ -136,9 +136,17 @@ def _scaled_survivor_integrand(s, x, ctx):
 
 def _tail(integrand, lower, ctx, points=None):
     """Integral of ``integrand`` over (lower, ctx.t_cut); the integrand may
-    carry a (v - lower)**-0.5 singularity at the lower end."""
-    val, _ = integrate_semi_infinite(integrand, lower, ctx.quad,
-                                     truncation=ctx.t_cut, singular_at_a=True,
+    carry a (v - lower)**-0.5 singularity at the lower end.  The subdivision
+    starts on ``points`` and on the law's breakpoints inside the interval;
+    each breakpoint adds one subinterval to the budget."""
+    t_cut, quad = ctx.t_cut, ctx.quad
+    kinks = ctx.dist.breakpoints
+    if len(kinks):
+        inside = kinks[(kinks > lower) & (kinks < t_cut)].tolist()
+        points = [*(points or ()), *inside]
+        quad = replace(quad, max_subdivisions=quad.max_subdivisions + len(inside))
+    val, _ = integrate_semi_infinite(integrand, lower, quad,
+                                     truncation=t_cut, singular_at_a=True,
                                      interior_points=points)
     return val
 
@@ -172,7 +180,7 @@ def _scaled_survivor(s, x, ctx):
 def survivor_density(s, x, ctx):
     """Joint density of {information value = x, no default by s}.
 
-    Strictly positive on 0 < s < t1; decreasing in |x|.
+    Strictly positive on 0 < s < t_cut; decreasing in |x|.
     """
     ctx._check_interior_time(s)
     return math.exp(-x * x / (2.0 * s)) * _scaled_survivor(s, x, ctx)
@@ -191,8 +199,8 @@ def survivor_density_floor(t0, t, x, ctx):
     Obtained by bounding the bridge prefactor below by (2 pi t)**-0.5 and the
     exponent by its worst case over the window, then integrating f beyond t.
     """
-    if not (0.0 < t0 < t < ctx.t1):
-        raise DomainError(f"need 0 < t0 < t < t1, got t0={t0}, t={t}, t1={ctx.t1}")
+    if not (0.0 < t0 < t < ctx.t_cut):
+        raise DomainError(f"need 0 < t0 < t < t_cut={ctx.t_cut}, got t0={t0}, t={t}")
     f = ctx.dist.density_f
     x2 = x * x
     pref = 1.0 / math.sqrt(2.0 * math.pi * t)
@@ -250,7 +258,7 @@ def conditional_expectation(g_of_tau, t, x, ctx, g_breakpoints=None):
         return g_of_tau(v) * base(v)
 
     denom = _scaled_survivor(t, x, ctx)
-    if not math.isfinite(ctx.t1):
+    if not math.isfinite(ctx.dist.t1):
         # Preflight at the truncation point: the cut only bounds the tail
         # if the integrand is already negligible out there.
         t_cut = ctx.t_cut
@@ -272,13 +280,12 @@ def conditional_expectation(g_of_tau, t, x, ctx, g_breakpoints=None):
 def survival_probability(t, u, x, ctx):
     """P(tau > u | information value x at time t, no default by t).
 
-    Equals 1 at u = t, is nonincreasing in u, and vanishes as u approaches
-    the effective horizon of the default law.
+    Equals 1 at u = t, is nonincreasing in u, and is 0 from the tail cut on.
     """
     ctx._check_interior_time(t, "t")
     if u < t:
         raise DomainError(f"need u >= t, got t={t}, u={u}")
-    if not (u < ctx.t1):
+    if not (u < ctx.t_cut):
         return 0.0
     if u == t:
         return 1.0
@@ -403,19 +410,17 @@ def scaled_tail_grid(s, x, ctx, reversion=False, upper=None):
     return out
 
 
-def compensator_weights(ctx, knots, dt):
+def compensator_weights(ctx, knots):
     """Per-knot weight f(s) / survivor_density(s, 0) driving the compensator.
 
-    The knot at time zero carries the weight evaluated at s = dt instead
-    (the weight vanishes like sqrt(s) there, so the choice only matters at
-    order dt).  Knots at or beyond the effective horizon get weight zero;
-    the local-time measure carries no mass there.
+    Knots outside the law domain (0, t_cut) get weight zero: the weight
+    vanishes like sqrt(s) at the time origin, and the local-time measure
+    carries no mass from the tail cut on.
     """
     knots = np.asarray(knots, dtype=float)
-    s_eval = np.where(knots <= 0.0, dt, knots)
     w = np.zeros(knots.shape)
-    live = s_eval < ctx.t1
-    w[live] = _zero_level_weights(ctx, s_eval[live])
+    live = (knots > 0.0) & (knots < ctx.t_cut)
+    w[live] = _zero_level_weights(ctx, knots[live])
     return w
 
 
@@ -436,8 +441,9 @@ def hazard_window_rates(ctx, s, x, h, survivor=None):
     Ratio of the h-window numerator to the survivor density; the common
     exp(-x^2/(2s)) scale cancels, so the rate is stable for any |x|.  The
     window stops at the tail cut like the survivor integral does: where
-    s + h reaches past it (t1 of a bounded law) the two integrals are the
-    same and the rate is exactly 1/h, with no panel straddling the edge of f.
+    s + h reaches past it (the end of a bounded support) the two integrals
+    are the same and the rate is exactly 1/h, with no panel straddling the
+    edge of f.
 
     The denominator, ``scaled_tail_grid(s, x, ctx)``, does not depend on h.
     Callers that need several lags at the same states compute it once and
@@ -479,14 +485,16 @@ class DriftTable:
     @classmethod
     def build(cls, ctx, s_nodes, x_max=None, n_x=140, x_min=1e-3):
         s_nodes = np.asarray(s_nodes, dtype=float)
+        if len(s_nodes) < 2:
+            raise DomainError("a drift table needs at least two time nodes")
         if x_max is None:
             x_max = 8.0 * math.sqrt(max(float(s_nodes[-1]), 1.0))
         x_pos = np.geomspace(x_min, x_max, n_x - 1)
         x_nodes = np.concatenate([[0.0], x_pos])
         s_eval = s_nodes.copy()
         if s_eval[0] <= 0.0:
-            s_eval[0] = s_eval[1] if len(s_eval) > 1 else ctx.t1 * 0.5
-        live = s_eval < ctx.t1
+            s_eval[0] = s_eval[1]
+        live = s_eval < ctx.t_cut
         values = np.zeros((len(s_nodes), n_x))
         values[live, 0] = _zero_level_weights(ctx, s_eval[live])
         for j, xj in enumerate(x_pos, start=1):

@@ -32,7 +32,6 @@ __all__ = [
     "tanaka_estimate",
     "occupation_formula_residual",
     "level_grid",
-    "write_localtime_csv",
 ]
 
 
@@ -195,20 +194,6 @@ def level_grid(path, dx, margin=None):
         margin = math.sqrt(14.0 * float(np.max(np.diff(path.grid.knots)))) + 2.0 * dx
     n = int(np.ceil((m + margin) / dx))
     return np.arange(-n, n + 1) * dx
-
-
-def write_localtime_csv(tagged_curves, fh):
-    """Dump local-time curves as CSV rows ``path_id,t,x,estimator,L``.
-
-    ``tagged_curves`` yields (path_id, curve) pairs; one row per knot,
-    17-significant-digit values, locale-free.
-    """
-    fh.write("path_id,t,x,estimator,L\n")
-    for path_id, curve in tagged_curves:
-        x = format(curve.x, ".17g")
-        for t, val in zip(curve.grid.knots, curve.values):
-            fh.write(f"{path_id},{format(float(t), '.17g')},{x},"
-                     f"{curve.estimator},{format(float(val), '.17g')}\n")
 
 
 def occupation_formula_residual(path, h, levels, curves, t=None):

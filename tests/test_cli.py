@@ -3,6 +3,8 @@ import os
 import numpy as np
 
 from infobridge.cli import main
+from infobridge.distributions import DefaultDistribution
+from infobridge.laws import ModelContext
 
 SURVIVAL_EXP1_1_2_03 = 0.30325518645275773  # frozen Riemann oracle (see laws tests)
 
@@ -10,6 +12,13 @@ SURVIVAL_EXP1_1_2_03 = 0.30325518645275773  # frozen Riemann oracle (see laws te
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _survival_rows(out):
+    rows = [line.split(",") for line in
+            _read(os.path.join(out, "survival.csv")).decode().splitlines()[1:]]
+    return (np.array([float(r[0]) for r in rows]),
+            np.array([float(r[1]) for r in rows]))
 
 
 def test_simulate_schema_and_determinism(tmp_path):
@@ -40,14 +49,34 @@ def test_survival_curve(tmp_path):
     rc = main(["survival", "--dist", "exp:1.0", "--dt", "0.1", "--t-max", "2.5",
                "--t", "1.0", "--x", "0.3", "--out", out])
     assert rc == 0
-    rows = [line.split(",") for line in
-            _read(os.path.join(out, "survival.csv")).decode().splitlines()[1:]]
-    us = np.array([float(r[0]) for r in rows])
-    ps = np.array([float(r[1]) for r in rows])
+    us, ps = _survival_rows(out)
     assert us[0] == 1.0 and ps[0] == 1.0
     assert np.all(np.diff(ps) <= 1e-12)
     at2 = ps[np.argmin(np.abs(us - 2.0))]
     assert abs(at2 - SURVIVAL_EXP1_1_2_03) < 1e-6
+
+    # exp:1.0 is cut near 20.72: rows from there on are 0, and the rows
+    # below it are those of a grid that stops short of the cut.
+    base = ["survival", "--dist", "exp:1.0", "--dt", "1", "--t", "1", "--x", "0.3"]
+    short, far = str(tmp_path / "short"), str(tmp_path / "far")
+    assert main(base + ["--t-max", "20", "--out", short]) == 0
+    assert main(base + ["--t-max", "30", "--out", far]) == 0
+    assert _read(os.path.join(far, "survival.csv")).startswith(
+        _read(os.path.join(short, "survival.csv")))
+    us, ps = _survival_rows(far)
+    assert us[-1] == 30.0 and np.all(ps[us >= 21.0] == 0.0) and ps[us == 20.0] > 0.0
+
+    # a table law with 21 knots
+    t = np.linspace(0.0, 20.0, 21)
+    law = tmp_path / "law.csv"
+    law.write_text("t,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in
+                                     zip(t.tolist(), np.exp(-t).tolist())))
+    out = str(tmp_path / "out")
+    assert main(["survival", "--dist", f"table:{law}", "--dt", "0.1",
+                 "--t-max", "2", "--t", "0.5", "--x", "0.3", "--out", out]) == 0
+    us, ps = _survival_rows(out)
+    assert us[0] == 0.5 and ps[0] == 1.0
+    assert np.all((ps > 0.0) & (ps <= 1.0)) and np.all(np.diff(ps) <= 1e-12)
 
 
 def test_survival_domain_errors(tmp_path):
@@ -57,6 +86,12 @@ def test_survival_domain_errors(tmp_path):
     assert main(base + ["--t", "1.0", "--x", "0.0"]) == 2
     assert main(base + ["--t", "3.0", "--x", "0.3"]) == 2
     assert main(base + ["--t", "1.0", "--x", "nan"]) == 2
+    # a state at or past the tail cut, below t_max
+    far = ["survival", "--dt", "1", "--t-max", "30", "--x", "0.3", "--out", out]
+    assert main(far + ["--dist", "exp:1.0", "--t", "21"]) == 2
+    cut = ModelContext(DefaultDistribution.exponential(1.0)).t_cut
+    assert main(far + ["--dist", "exp:1.0", "--t", repr(cut)]) == 2
+    assert main(far + ["--dist", "uniform:0,2", "--t", "2"]) == 2
 
 
 def _compensator_cfg(tmp_path, **extra):

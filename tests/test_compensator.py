@@ -50,7 +50,7 @@ def ctx_exp():
 def _job(ctx, dt=2e-3, t_max=1.0, seed=5150, zero_k=False, kh=()):
     # eps = sqrt(dt) on the exact (table-less) occupation route.
     cfg = RunConfig(dt=dt, t_max=t_max, seed=seed, lt_eps_coeff=1.0,
-                    lt_eps_power=0.5, report_times=(0.5, 1.0),
+                    report_times=(0.5, 1.0),
                     residual_pairs=((0.5, 1.0),), kh=kh, zero_k=zero_k)
     job = build_job(ctx, TimeGrid.regular(t_max, dt), cfg)
     return replace(job, credit_table=None)
@@ -158,7 +158,7 @@ def test_window_shared_survivor_is_bit_identical(spec, t_max):
     grid = TimeGrid.regular(t_max, 0.01)
     paths = [sample_path_direct(ctx, grid, RandomStream(61, i)) for i in range(12)]
     assert any(p.tau <= t_max for p in paths)
-    assert any(p.tau > t_max for p in paths) or ctx.t1 < t_max
+    assert any(p.tau > t_max for p in paths) or ctx.dist.t1 < t_max
     for p in paths:
         survivor = window_survivor(p, ctx)
         for h in (0.2, 0.1, 0.05, 0.025):

@@ -1,5 +1,6 @@
 import pytest
 
+from infobridge.cli import main
 from infobridge.config import RunConfig, load_config, parse_config_file
 from infobridge.errors import ConfigError
 
@@ -42,12 +43,17 @@ def test_defaults_without_file():
     assert cfg.dist == "exp:1.0"
     assert cfg.lt_estimator == "occupation"
     assert cfg.gate_multiplier == 3.0
+    # the occupation band half-width is lt_eps_coeff * sqrt(dt)
+    assert RunConfig(dt=0.01, lt_eps_coeff=0.2).eps == 0.2 * 0.01 ** 0.5
 
 
 def test_unknown_key(tmp_path):
-    path = _write(tmp_path, "volatility = 2\n")
-    with pytest.raises(ConfigError):
-        parse_config_file(path)
+    # retired keys are unknown as well, and the CLI exits 2 on them
+    for line in ("volatility = 2\n", "lt_eps_power = 0.5\n", "workers = 2\n"):
+        path = _write(tmp_path, line)
+        with pytest.raises(ConfigError):
+            parse_config_file(path)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
 
 
 def test_malformed_line(tmp_path):

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,11 +124,54 @@ def test_pool_never_exceeds_chunk_count(job, table, monkeypatch):
     class FakeContext:
         Pool = FakePool
 
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: FakeContext)
     big = run_ensemble(job, 1100, workers=8)
     assert sizes == [3]
     assert np.array_equal(big.K[:CFG.paths], table.K)
     assert np.array_equal(big.tau[:CFG.paths], table.tau)
+
+
+_SPAWN_RUN = """
+import multiprocessing
+from dataclasses import fields
+
+import numpy as np
+
+from infobridge import ensemble
+from infobridge.config import RunConfig
+from infobridge.distributions import parse_distribution
+from infobridge.ensemble import EnsembleTable, build_job, run_ensemble
+from infobridge.laws import ModelContext
+from infobridge.paths import TimeGrid
+
+multiprocessing.set_start_method("spawn")
+cfg = RunConfig(dist="gamma:2,2", dt=0.02, t_max=1.0, seed=8, kh=(0.1,),
+                report_times=(0.5, 1.0), residual_pairs=((0.5, 1.0),))
+job = build_job(ModelContext(parse_distribution(cfg.dist)),
+                TimeGrid.regular(cfg.t_max, cfg.dt), cfg)
+one = run_ensemble(job, 600, workers=1)
+
+
+def inherited(*args):
+    raise AssertionError("a worker ran with the parent's memory")
+
+
+# A forked worker would see this patch; a spawned one imports afresh.
+ensemble.sample_path_direct = inherited
+two = run_ensemble(job, 600, workers=2)
+print(all(np.array_equal(getattr(one, f.name), getattr(two, f.name))
+          for f in fields(EnsembleTable) if f.name != "job"))
+"""
+
+
+def test_spawned_workers_match_one_worker():
+    # Workers started by spawn rebuild the job from its pickle instead of
+    # inheriting it; two chunks on two of them give the serial table's bits.
+    # The start method is the platform default, which the script sets.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", _SPAWN_RUN], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out.strip() == "True"
 
 
 def test_insufficient_paths(ctx, job):

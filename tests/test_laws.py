@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from infobridge.distributions import DefaultDistribution
+from infobridge.distributions import DefaultDistribution, parse_distribution
 from infobridge.errors import DomainError
 from infobridge.laws import (
     DriftTable,
@@ -20,8 +21,11 @@ from infobridge.laws import (
     survival_probability,
     survivor_density,
     survivor_density_floor,
+    _log_scaled_bridge,
     _scaled_survivor,
+    _scaled_survivor_integrand,
 )
+from infobridge.quadrature import integrate_finite
 
 # Frozen oracle values.  Riemann oracles: midpoint sums with 1e6 cells after
 # the substitution v = s + z^2 on z in (0, 20] (or the finite support).
@@ -110,6 +114,16 @@ def test_survivor_density_domain(ctx_exp, ctx_unif):
         survivor_density(0.0, 0.0, ctx_exp)
     with pytest.raises(DomainError):
         survivor_density(2.0, 0.0, ctx_unif)
+    # an unbounded law: states at or past the tail cut are outside the domain
+    cut = ctx_exp.t_cut
+    for s in (cut, cut + 1.0):
+        for law in (survivor_density, mean_reversion_drift):
+            with pytest.raises(DomainError):
+                law(s, 0.3, ctx_exp)
+        with pytest.raises(DomainError):
+            survival_probability(s, s + 1.0, 0.3, ctx_exp)
+        with pytest.raises(DomainError):
+            posterior_density(s, s + 1.0, 0.3, ctx_exp)
 
 
 # -- lower bound (floor) ------------------------------------------------------
@@ -192,8 +206,9 @@ def test_survival_is_one_at_t(ctx_exp):
     assert survival_probability(1.0, 1.0, 0.4, ctx_exp) == 1.0
 
 
-def test_survival_vanishes_at_horizon(ctx_unif):
+def test_survival_vanishes_at_horizon(ctx_unif, ctx_exp):
     assert survival_probability(1.0, 2.0 - 1e-9, 0.3, ctx_unif) < 1e-6
+    assert survival_probability(1.0, ctx_exp.t_cut + 5.0, 0.3, ctx_exp) == 0.0
 
 
 def test_survival_matches_riemann_oracle(ctx_exp):
@@ -201,15 +216,57 @@ def test_survival_matches_riemann_oracle(ctx_exp):
     assert abs(val - SURVIVAL_EXP1_1_2_03) < 1e-6
 
 
-def test_survival_monotone_and_bounded(ctx_exp):
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        t = float(rng.uniform(0.2, 1.5))
-        x = float(rng.uniform(-2.0, 2.0)) or 0.3
-        us = np.sort(rng.uniform(t, t + 4.0, size=8))
-        vals = [survival_probability(t, float(u), x, ctx_exp) for u in us]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+def _exp_table(n):
+    """exp(1) density tabulated on ``n`` equal steps of [0, 20]."""
+    t = np.linspace(0.0, 20.0, n)
+    return DefaultDistribution.from_table(t, np.exp(-t))
+
+
+_LAWS = {spec: parse_distribution(spec) for spec in
+         ("exp:1.0", "gamma:2,2", "lognormal:0,0.5", "uniform:0,3")}
+_LAWS["table21"] = _exp_table(21)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(sorted(_LAWS)), frac=st.floats(0.005, 0.95),
+       x=st.floats(-4.0, 4.0).filter(bool),
+       reach=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6))
+def test_survival_monotone_and_bounded(law, frac, x, reach):
+    # across the tail cut, on every family and a table law
+    ctx = ModelContext(_LAWS[law])
+    cut = ctx.t_cut
+    t = frac * cut
+    us = sorted([t, math.nextafter(cut, 0.0), cut]
+                + [t + r * (cut - t) for r in reach])
+    vals = [survival_probability(t, u, x, ctx) for u in us]
+    assert vals[0] == 1.0
+    assert all(0.0 <= v <= 1.0 for v in vals)
+    assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+    assert all(v == 0.0 for u, v in zip(us, vals) if u >= cut)
+
+
+def test_table_law_scalar_route_matches_segment_sum():
+    # A 401-knot table: the adaptive rule starts on every knot, and each
+    # table segment integrated on its own is the reference.
+    ctx = ModelContext(_exp_table(401))
+    knots = ctx.dist.breakpoints
+
+    def segments(integrand, lower):
+        edges = [lower, *knots[(knots > lower) & (knots < ctx.t_cut)], ctx.t_cut]
+        return sum(integrate_finite(integrand, a, b, ctx.quad, singular_at_a=(k == 0))[0]
+                   for k, (a, b) in enumerate(zip(edges, edges[1:])))
+
+    for s, x in ((0.05, 0.3), (1.47, -1.2), (3.6, 0.8)):
+        base = _scaled_survivor_integrand(s, x, ctx)
+        den = segments(base, s)
+        u = s + 0.5
+        surv = segments(base, u) / den
+        post = math.exp(_log_scaled_bridge(s, u, x)
+                        + math.log(ctx.dist.density_f(u)) - math.log(den))
+        drift = x * segments(lambda v: base(v) / (v - s), s) / den
+        assert abs(survival_probability(s, u, x, ctx) - surv) < 1e-9
+        assert abs(posterior_density(s, u, x, ctx) - post) < 1e-9
+        assert abs(mean_reversion_drift(s, x, ctx) - drift) < 1e-9
 
 
 # -- drift ---------------------------------------------------------------------
@@ -218,15 +275,15 @@ def test_drift_vanishes_at_zero(ctx_exp):
     assert mean_reversion_drift(1.0, 0.0, ctx_exp) == 0.0
 
 
-def test_drift_sign_and_oddness(ctx_exp):
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        s = float(rng.uniform(0.2, 2.0))
-        x = float(rng.uniform(0.05, 2.0))
-        up = mean_reversion_drift(s, x, ctx_exp)
-        dn = mean_reversion_drift(s, -x, ctx_exp)
-        assert up > 0.0
-        assert abs(up + dn) < 1e-10 * max(1.0, abs(up))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(sorted(_LAWS)), frac=st.floats(0.005, 0.95),
+       x=st.floats(1e-3, 4.0))
+def test_drift_sign_and_oddness(law, frac, x):
+    ctx = ModelContext(_LAWS[law])
+    s = frac * ctx.t_cut
+    up = mean_reversion_drift(s, x, ctx)
+    assert up > 0.0
+    assert mean_reversion_drift(s, -x, ctx) == -up
 
 
 def test_drift_matches_riemann_oracle(ctx_exp):
@@ -300,7 +357,7 @@ def test_inverse_density_uniform_convergence_in_x(ctx_exp):
 def test_scaled_survivor_grid_matches_adaptive(ctx_exp, ctx_unif):
     rng = np.random.default_rng(21)
     for ctx in (ctx_exp, ctx_unif):
-        hi = min(ctx.t1, 3.0)
+        hi = min(ctx.dist.t1, 3.0)
         s = rng.uniform(0.05, hi - 0.05, size=24)
         x = np.concatenate([np.zeros(6), rng.uniform(0.001, 5.0, size=18)])
         fast = scaled_tail_grid(s, x, ctx)
@@ -323,19 +380,24 @@ def test_scaled_reversion_grid_matches_adaptive(ctx_exp):
 
 def test_compensator_weights_match_scalar(ctx_exp):
     knots = np.linspace(0.0, 2.0, 9)
-    w = compensator_weights(ctx_exp, knots, dt=0.25)
-    for k, s in enumerate(knots):
-        s_eval = 0.25 if s == 0.0 else float(s)
-        expect = float(ctx_exp.dist.density_f(s_eval)) * inverse_survivor_density(
-            s_eval, 0.0, ctx_exp)
+    w = compensator_weights(ctx_exp, knots)
+    # time zero lies outside the law domain (0, t_cut): the weight is 0 there
+    assert w[0] == 0.0
+    for k, s in enumerate(knots[1:], start=1):
+        expect = float(ctx_exp.dist.density_f(s)) * inverse_survivor_density(
+            float(s), 0.0, ctx_exp)
         assert abs(w[k] - expect) < 1e-7 * expect
 
 
-def test_compensator_weights_masked_beyond_horizon(ctx_unif):
+def test_compensator_weights_masked_beyond_horizon(ctx_unif, ctx_exp):
     knots = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
-    w = compensator_weights(ctx_unif, knots, dt=0.5)
-    assert w[-2] == 0.0 and w[-1] == 0.0
-    assert np.all(w[:4] > 0.0)
+    w = compensator_weights(ctx_unif, knots)
+    assert w[0] == 0.0 and w[-2] == 0.0 and w[-1] == 0.0
+    assert np.all(w[1:4] > 0.0)
+    # an unbounded law: zero from its tail cut on
+    cut = ctx_exp.t_cut
+    w = compensator_weights(ctx_exp, np.array([0.0, 1.0, cut, cut + 1.0]))
+    assert w[0] == 0.0 and w[1] > 0.0 and w[2] == 0.0 and w[3] == 0.0
 
 
 def test_hazard_window_rates_match_scalar():
@@ -390,6 +452,8 @@ def test_drift_table_matches_exact(ctx_exp):
         exact = mean_reversion_drift(float(sv), float(xv), ctx_exp)
         assert abs(av - exact) <= 2e-3 * max(1.0, abs(exact))
     assert table.evaluate(np.array([1.0]), np.array([0.0]))[0] == 0.0
+    with pytest.raises(DomainError):
+        DriftTable.build(ctx_exp, [0.5])
 
 
 def test_conditional_expectation_integrability_guard(ctx_exp):

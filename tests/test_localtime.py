@@ -182,25 +182,3 @@ def test_aggregate_level_continuity(ctx_exp):
     band = 3.0 * np.sqrt(se[1:] ** 2 + se[:-1] ** 2)
     assert np.all(jumps <= band)
 
-
-def test_localtime_csv_dump(ctx_exp):
-    import io
-
-    from infobridge.localtime import write_localtime_csv
-
-    grid = TimeGrid.regular(0.5, 0.1)
-    rows = []
-    for i in range(2):
-        p = sample_path_direct(ctx_exp, grid, RandomStream(3, i))
-        rows.append((i, occupation_estimate(p, 0.0, 0.1)))
-        rows.append((i, tanaka_estimate(p, 0.25)))
-    buf = io.StringIO()
-    write_localtime_csv(rows, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "path_id,t,x,estimator,L"
-    assert len(lines) == 1 + 4 * 6
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[3] in ("occupation", "tanaka")
-    buf2 = io.StringIO()
-    write_localtime_csv(rows, buf2)
-    assert buf.getvalue() == buf2.getvalue()
