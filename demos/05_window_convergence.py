@@ -23,11 +23,13 @@ from infobridge import (
     sample_path_direct,
     window_survivor,
 )
+from infobridge.laws import compensator_weights
 
 ctx = ModelContext(DefaultDistribution.exponential(1.0))
 dt = 0.015
 grid = TimeGrid.regular(1.0, dt)
 lags = (0.2, 0.1, 0.05, 0.025)
+weights = compensator_weights(ctx, grid.knots)  # once per grid, shared by every path
 
 print("Per-path gap |K^h(1) - K(1)| as the lag h shrinks:")
 print("  seed   " + "   ".join(f"h={h:<5g}" for h in lags))
@@ -36,7 +38,7 @@ n = 12
 for i in range(n):
     p = sample_path_direct(ctx, grid, RandomStream(88, i))
     lt = occupation_estimate(p, 0.0, math.sqrt(dt))
-    k1 = compensator_curve(p, lt, ctx)[p.grid.index_of(1.0)]
+    k1 = compensator_curve(p, lt, weights)[p.grid.index_of(1.0)]
     survivor = window_survivor(p, ctx)  # the rates' lag-free denominator
     gaps = [abs(laplacian_approximation(p, h, ctx, survivor)[p.grid.index_of(1.0)]
                 - k1) for h in lags]

@@ -10,7 +10,8 @@ compensator   ensemble run with compensator curves, summary statistics,
               (``curves.csv``, ``summary.csv``, ``residuals.csv``,
               ``report.txt``)
 convergence   window-approximation gaps against the local-time compensator
-              on fixed seeds (``convergence.csv``, ``report.txt``)
+              on fixed seeds, with the compensator weights built once per run
+              (``convergence.csv``, ``report.txt``)
 
 Exit codes: 0 success / all gates pass, 1 gate failure, 2 configuration
 error, 3 I/O error.  The compensator's worker count comes from the
@@ -156,7 +157,7 @@ def cmd_convergence(cfg):
             lt = tanaka_estimate(path, 0.0)
         else:
             lt = occupation_estimate(path, 0.0, cfg.eps)
-        curve = build_curve(path, lt, ctx, weights=weights)
+        curve = build_curve(path, lt, weights)
         kref = curve.K[idx]
         survivor = window_survivor(path, ctx)
         for a, h in enumerate(cfg.kh):

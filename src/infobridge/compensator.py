@@ -8,7 +8,8 @@ the information process it is the integral of
 
 against the local-time measure of the path at level zero, stopped at the
 default time.  This module computes K path by path from an estimated
-local-time curve, together with the window approximation
+local-time curve and the per-grid ``laws.compensator_weights``, together
+with the window approximation
 
     K^h_t = integral of (1/h) P(default in (s, s+h) | state at s) ds
 
@@ -62,27 +63,25 @@ def indicator_curve(path):
     return (path.grid.knots >= path.tau).astype(float)
 
 
-def compensator_curve(path, lt, ctx, weights=None):
+def compensator_curve(path, lt, weights):
     """Compensator of the default indicator along one path.
 
     Accumulates weight(s) * (local-time increment at level 0) over the steps
-    before the default time, where weight(s) = f(s) / survivor_density(s, 0)
-    at the left knot s.  The weight lives on the law domain (0, t_cut): it is
-    zero at s = 0, so the step out of the time origin adds nothing (the
-    local-time mass there carries total compensator weight F(dt), negligible
-    at any usable step size), and zero from the tail cut on.
+    before the default time, where ``weights`` holds the per-knot weight
+    f(s) / survivor_density(s, 0) on the path grid, computed once per grid by
+    ``laws.compensator_weights``.  The weight lives on the law domain
+    (0, t_cut): it is zero at s = 0, so the step out of the time origin adds
+    nothing (the local-time mass there carries total compensator weight
+    F(dt), negligible at any usable step size), and zero from the tail cut
+    on.
 
-    ``lt`` must be a local-time curve at level 0 on the same grid; pass
-    ``weights`` (from ``laws.compensator_weights``) to amortize the per-knot
-    integrals across an ensemble.
+    ``lt`` must be a local-time curve at level 0 on the same grid.
     """
     if lt.x != 0.0:
         raise DomainError(f"compensator needs the local time at level 0, got {lt.x}")
     if lt.values.shape != path.beta.shape or not np.array_equal(
             lt.grid.knots, path.grid.knots):
         raise DomainError("local-time curve lives on a different grid")
-    if weights is None:
-        weights = laws.compensator_weights(ctx, path.grid.knots)
     incr = weights[:-1] * np.diff(lt.values)
     return np.concatenate([[0.0], np.cumsum(incr)])
 
@@ -98,14 +97,14 @@ def window_survivor(path, ctx):
     """Scaled survivor densities at the window knots of ``path``.
 
     This is the denominator of every window rate along the path and does not
-    depend on the lag; compute it once and pass it to
+    depend on the lag; compute it once per path and pass it to
     ``laplacian_approximation`` for each lag.
     """
     idx = _window_knots(path, ctx)
     return laws.scaled_tail_grid(path.grid.knots[idx], path.beta[idx], ctx)
 
 
-def laplacian_approximation(path, h, ctx, survivor=None):
+def laplacian_approximation(path, h, ctx, survivor):
     """Window approximation of the compensator with lag h.
 
     Each step before the default time contributes its length times the
@@ -116,8 +115,7 @@ def laplacian_approximation(path, h, ctx, survivor=None):
     rate of the first positive knot.
 
     ``survivor`` is ``window_survivor(path, ctx)``, the lag-free denominator
-    of the rates.  Passing it saves one tail integral per knot for every lag
-    after the first; the curve is the same bits either way.
+    of the rates, shared by every lag of the path.
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"window lag must be positive and finite, got {h}")
@@ -127,7 +125,7 @@ def laplacian_approximation(path, h, ctx, survivor=None):
     idx = _window_knots(path, ctx)
     if len(idx):
         rates = laws.hazard_window_rates(ctx, knots[idx], path.beta[idx], h,
-                                         survivor=survivor)
+                                         survivor)
         incr[idx] = spans[idx] * rates
         if knots[0] < path.tau and idx[0] == 1:
             incr[0] = spans[0] * rates[0]
@@ -154,9 +152,9 @@ def averaged_gaussian_kernel(h, x, spec=None):
     return val / h
 
 
-def build_curve(path, lt, ctx, weights=None):
+def build_curve(path, lt, weights):
     """Assemble the per-path curve bundle (indicator and compensator)."""
-    K = compensator_curve(path, lt, ctx, weights=weights)
+    K = compensator_curve(path, lt, weights)
     return CompensatorCurve(path.grid, path.tau, indicator_curve(path), K)
 
 

@@ -195,14 +195,11 @@ class DefaultDistribution:
         out = self._ppf(u)
         return out if out.ndim else float(out)
 
-    def sample_tau(self, rng):
-        """One draw of the default time by inversion of the supplied stream.
-
-        ``rng`` is a numpy Generator (or anything with a ``generator()``
-        accessor, e.g. a RandomStream).  The draw consumes exactly one
-        uniform, so a stream's draw sequence is reproducible.
+    def sample_tau(self, gen):
+        """One draw of the default time by inversion of the numpy Generator
+        ``gen``.  The draw consumes exactly one uniform, so a stream's draw
+        sequence is reproducible.
         """
-        gen = rng.generator() if hasattr(rng, "generator") else rng
         return float(self.quantile(gen.random()))
 
     def tail_cut(self, mass):

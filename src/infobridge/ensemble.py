@@ -61,7 +61,6 @@ class EnsembleJob:
     times: tuple                        # where H and K are recorded
     s_nodes: tuple                      # where beta is recorded
     kh: tuple = ()                      # window lags recorded at `times`
-    zero_k: bool = False
     credit_table: object = None         # precomputed occupation step credits
     drift_table: object = None          # enables b and its quadratic variation
     b_nodes: tuple = ()                 # where b is recorded
@@ -116,21 +115,22 @@ def build_job(ctx, grid, cfg):
     """Assemble an EnsembleJob from a run configuration.
 
     Records H/K at the union of report times and residual-pair endpoints,
-    and the information value at every residual-pair start.
+    and the information value at every residual-pair start.  The zero-K
+    ablation (``cfg.zero_k``) is a zero weight vector: K is identically 0.
     """
     pair_times = [t for pair in cfg.residual_pairs for t in pair]
     times = tuple(sorted(set(cfg.report_times) | set(pair_times)))
     s_nodes = tuple(sorted({s for s, _ in cfg.residual_pairs}))
     for t in times:
         grid.index_of(t)  # validates alignment
-    weights = laws.compensator_weights(ctx, grid.knots)
+    weights = (np.zeros(len(grid.knots)) if cfg.zero_k
+               else laws.compensator_weights(ctx, grid.knots))
     step = float(grid.knots[1] - grid.knots[0])
     table = BandCreditTable(step, cfg.eps) if cfg.lt_estimator == "occupation" else None
     return EnsembleJob(
         ctx=ctx, grid=grid, master_seed=cfg.seed, eps=cfg.eps,
         estimator=cfg.lt_estimator, weights=weights,
-        times=times, s_nodes=s_nodes, kh=tuple(cfg.kh),
-        zero_k=cfg.zero_k, credit_table=table,
+        times=times, s_nodes=s_nodes, kh=tuple(cfg.kh), credit_table=table,
     )
 
 
@@ -150,10 +150,7 @@ def _path_row(job, i, block, k):
     else:
         lt = occupation_estimate(path, 0.0, job.eps,
                                  credit_table=job.credit_table)
-    if job.zero_k:
-        kcum = np.zeros(len(knots))
-    else:
-        kcum = compensator_curve(path, lt, job.ctx, weights=job.weights)
+    kcum = compensator_curve(path, lt, job.weights)
 
     times = np.asarray(job.times)
     t_idx = np.searchsorted(knots, times)

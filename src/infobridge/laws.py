@@ -321,6 +321,8 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _PANELS_LIN = 8
 _PANELS_LOG = 12
 _LAYER_DECADES = 4.5  # log window below |x|/sqrt(2): exp(-x^2/(2 z^2)) is 0 there
+_DRIFT_N_X = 140      # drift-table levels: 0, then geometric from _DRIFT_X_MIN on
+_DRIFT_X_MIN = 1e-3
 
 
 def _panel_nodes(lo, hi, n_panels):
@@ -435,7 +437,7 @@ def _zero_level_weights(ctx, s):
     return w
 
 
-def hazard_window_rates(ctx, s, x, h, survivor=None):
+def hazard_window_rates(ctx, s, x, h, survivor):
     """Vectorized conditional rate (1/h) P(tau in (s, s+h) | beta_s = x, tau > s).
 
     Ratio of the h-window numerator to the survivor density; the common
@@ -445,22 +447,19 @@ def hazard_window_rates(ctx, s, x, h, survivor=None):
     are the same and the rate is exactly 1/h, with no panel straddling the
     edge of f.
 
-    The denominator, ``scaled_tail_grid(s, x, ctx)``, does not depend on h.
-    Callers that need several lags at the same states compute it once and
-    pass it as ``survivor`` (same shape as ``s``); the rates are then the
-    same bits as without it.  The lag must be positive and finite.
+    The denominator ``survivor`` is ``scaled_tail_grid(s, x, ctx)`` (same
+    shape as ``s``).  It does not depend on h, so callers compute it once
+    for all the lags at the same states.  The lag must be positive and
+    finite.
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"window lag must be positive and finite, got {h}")
     s = np.asarray(s, dtype=float)
+    den = np.asarray(survivor, dtype=float)
+    if den.shape != s.shape:
+        raise DomainError(f"survivor densities have shape {den.shape}, "
+                          f"states have shape {s.shape}")
     num = scaled_tail_grid(s, x, ctx, upper=np.minimum(s + h, ctx.t_cut))
-    if survivor is None:
-        den = scaled_tail_grid(s, x, ctx)
-    else:
-        den = np.asarray(survivor, dtype=float)
-        if den.shape != s.shape:
-            raise DomainError(f"survivor densities have shape {den.shape}, "
-                              f"states have shape {s.shape}")
     out = np.zeros(s.shape)
     ok = den > 0.0
     out[ok] = num[ok] / den[ok] / h
@@ -483,19 +482,19 @@ class DriftTable:
         self.values = values
 
     @classmethod
-    def build(cls, ctx, s_nodes, x_max=None, n_x=140, x_min=1e-3):
+    def build(cls, ctx, s_nodes, x_max=None):
         s_nodes = np.asarray(s_nodes, dtype=float)
         if len(s_nodes) < 2:
             raise DomainError("a drift table needs at least two time nodes")
         if x_max is None:
             x_max = 8.0 * math.sqrt(max(float(s_nodes[-1]), 1.0))
-        x_pos = np.geomspace(x_min, x_max, n_x - 1)
+        x_pos = np.geomspace(_DRIFT_X_MIN, x_max, _DRIFT_N_X - 1)
         x_nodes = np.concatenate([[0.0], x_pos])
         s_eval = s_nodes.copy()
         if s_eval[0] <= 0.0:
             s_eval[0] = s_eval[1]
         live = s_eval < ctx.t_cut
-        values = np.zeros((len(s_nodes), n_x))
+        values = np.zeros((len(s_nodes), _DRIFT_N_X))
         values[live, 0] = _zero_level_weights(ctx, s_eval[live])
         for j, xj in enumerate(x_pos, start=1):
             den = scaled_tail_grid(s_eval[live], xj, ctx)

@@ -25,6 +25,9 @@ from .errors import DomainError
 from .paths import TimeGrid
 
 _GL_U, _GL_W = np.polynomial.legendre.leggauss(24)
+# A bridge step of length dt whose endpoints clear a level by more than its
+# crossing reach sqrt(14 dt) touches the level with probability exp(-28) ~ 1e-12.
+_CROSSING_REACH2 = 14.0
 
 __all__ = [
     "LocalTimeCurve",
@@ -42,8 +45,6 @@ class LocalTimeCurve:
     x: float
     grid: TimeGrid
     values: np.ndarray
-    estimator: str
-    epsilon: float | None = None
 
 
 def _band_time_credits(a, b, spans, x, epsilon):
@@ -58,7 +59,7 @@ def _band_time_credits(a, b, spans, x, epsilon):
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     gap = np.maximum(np.maximum(lo - (x + epsilon), (x - epsilon) - hi), 0.0)
-    live = gap * gap <= 14.0 * spans
+    live = gap * gap <= _CROSSING_REACH2 * spans
     credits = np.zeros(len(spans))
     if not np.any(live):
         return credits
@@ -86,7 +87,7 @@ class BandCreditTable:
     def __init__(self, span, epsilon):
         self.span = float(span)
         self.epsilon = float(epsilon)
-        reach = math.sqrt(14.0 * span)
+        reach = math.sqrt(_CROSSING_REACH2 * span)
         lim = epsilon + reach
         fine_to = min(4.0 * epsilon + 2.0 * math.sqrt(span), lim)
         inner = np.arange(0.0, fine_to, min(epsilon, math.sqrt(span)) / 10.0)
@@ -140,15 +141,19 @@ def occupation_estimate(path, x, epsilon, credit_table=None):
 
     Credits are computed only on the steps whose left knot lies before the
     default time, with the lengths ``path.spans``; with ``credit_table``
-    the full-length steps are looked up and the partial step is integrated.
+    (built for this ``epsilon``) the full-length steps are looked up and the
+    partial step is integrated.
     """
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if credit_table is not None and credit_table.epsilon != epsilon:
+        raise DomainError(f"credit table is for epsilon {credit_table.epsilon}, "
+                          f"not {epsilon}")
     live = path.grid.knots[:-1] < path.tau
     spans = path.spans[live]
     a = path.beta[:-1][live]
     b = path.beta[1:][live]
-    if credit_table is not None and credit_table.epsilon == epsilon:
+    if credit_table is not None:
         regular = np.abs(spans - credit_table.span) <= 1e-9 * credit_table.span
         credits = np.zeros(len(spans))
         credits[regular] = credit_table.credit(a[regular] - x, b[regular] - x)
@@ -160,7 +165,7 @@ def occupation_estimate(path, x, epsilon, credit_table=None):
     incr = np.zeros(len(live))
     incr[live] = credits
     values = np.concatenate([[0.0], np.cumsum(incr / (2.0 * epsilon))])
-    return LocalTimeCurve(float(x), path.grid, values, "occupation", float(epsilon))
+    return LocalTimeCurve(float(x), path.grid, values)
 
 
 def tanaka_estimate(path, x, monotone=True):
@@ -176,7 +181,7 @@ def tanaka_estimate(path, x, monotone=True):
     stoch = np.concatenate([[0.0], np.cumsum(sgn[:-1] * np.diff(beta))])
     raw = np.abs(centered) - abs(centered[0]) - stoch
     values = np.maximum.accumulate(raw) if monotone else raw
-    return LocalTimeCurve(float(x), path.grid, values, "tanaka")
+    return LocalTimeCurve(float(x), path.grid, values)
 
 
 def level_grid(path, dx, margin=None):
@@ -191,7 +196,8 @@ def level_grid(path, dx, margin=None):
         raise DomainError(f"dx must be positive, got {dx}")
     m = float(np.max(np.abs(path.beta)))
     if margin is None:
-        margin = math.sqrt(14.0 * float(np.max(np.diff(path.grid.knots)))) + 2.0 * dx
+        step = float(np.max(np.diff(path.grid.knots)))
+        margin = math.sqrt(_CROSSING_REACH2 * step) + 2.0 * dx
     n = int(np.ceil((m + margin) / dx))
     return np.arange(-n, n + 1) * dx
 

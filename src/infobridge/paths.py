@@ -47,21 +47,21 @@ _U64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing knots from 0 to t_max with gaps at most dt."""
+    """Strictly increasing knots from 0 to t_max."""
 
     knots: np.ndarray
-    dt: float
     t_max: float
 
     @classmethod
     def regular(cls, t_max, dt):
+        """Equal steps of at most ``dt`` from 0 to ``t_max``."""
         if dt <= 0.0:
             raise DomainError(f"dt must be positive, got {dt}")
         if t_max <= dt:
             raise DomainError(f"t_max must exceed dt, got t_max={t_max}, dt={dt}")
         n = int(math.ceil(t_max / dt - 1e-12))
         knots = np.linspace(0.0, t_max, n + 1)
-        return cls(knots, dt, float(t_max))
+        return cls(knots, float(t_max))
 
     def index_of(self, t):
         """Index of the knot equal to ``t``; raises if absent."""

@@ -23,6 +23,7 @@ from infobridge.compensator import (
     averaged_gaussian_kernel,
     compensator_curve,
     laplacian_approximation,
+    window_survivor,
 )
 from infobridge.config import RunConfig
 from infobridge.distributions import DefaultDistribution
@@ -253,20 +254,23 @@ _KH_PATHS = 24
 def _kh_study(ctx, seed):
     fine = TimeGrid.regular(1.0, _KH_DT / 2.0)
     coarse = TimeGrid.regular(1.0, _KH_DT)
+    w_fine = laws.compensator_weights(ctx, fine.knots)
+    w_coarse = laws.compensator_weights(ctx, coarse.knots)
     gaps = np.zeros((_KH_PATHS, len(_KH_LAGS)))
     floors = np.zeros(_KH_PATHS)
     for i in range(_KH_PATHS):
         pf = sample_path_direct(ctx, fine, RandomStream(seed, i))
         pc = restrict_path(pf, coarse)
 
-        def k_at_one(p, step):
+        def k_at_one(p, step, weights):
             lt = occupation_estimate(p, 0.0, math.sqrt(step))
-            return compensator_curve(p, lt, ctx)[p.grid.index_of(1.0)]
+            return compensator_curve(p, lt, weights)[p.grid.index_of(1.0)]
 
-        k_coarse = k_at_one(pc, _KH_DT)
-        floors[i] = abs(k_coarse - k_at_one(pf, _KH_DT / 2.0))
+        k_coarse = k_at_one(pc, _KH_DT, w_coarse)
+        floors[i] = abs(k_coarse - k_at_one(pf, _KH_DT / 2.0, w_fine))
+        survivor = window_survivor(pc, ctx)
         for a, h in enumerate(_KH_LAGS):
-            kh = laplacian_approximation(pc, h, ctx)[pc.grid.index_of(1.0)]
+            kh = laplacian_approximation(pc, h, ctx, survivor)[pc.grid.index_of(1.0)]
             gaps[i, a] = abs(kh - k_coarse)
     return gaps.mean(axis=0), floors.mean()
 

@@ -16,7 +16,7 @@ from infobridge.compensator import (
     window_survivor,
 )
 from infobridge.config import RunConfig
-from infobridge.distributions import DefaultDistribution, parse_distribution
+from infobridge.distributions import DefaultDistribution
 from infobridge.ensemble import (
     EnsembleTable,
     build_job,
@@ -25,7 +25,7 @@ from infobridge.ensemble import (
     table_martingale_residual,
 )
 from infobridge.errors import DomainError, InsufficientPaths
-from infobridge.laws import ModelContext
+from infobridge.laws import ModelContext, compensator_weights
 from infobridge.localtime import occupation_estimate
 from infobridge.paths import (
     InformationPath,
@@ -73,12 +73,12 @@ def test_compensator_zero_without_local_time(ctx_exp):
     # exactly zero local time at zero, hence a identically zero compensator.
     n = 1024
     knots = np.arange(n + 1) / 512.0
-    grid = TimeGrid(knots, 1.0 / 512.0, 2.0)
+    grid = TimeGrid(knots, 2.0)
     beta = 1.0 + knots
     p = InformationPath(9.0, grid, beta, "direct")
     lt = occupation_estimate(p, 0.0, 0.25)
     assert np.all(lt.values == 0.0)
-    k = compensator_curve(p, lt, ModelContext(DefaultDistribution.exponential(1.0)))
+    k = compensator_curve(p, lt, compensator_weights(ctx_exp, knots))
     assert np.all(k == 0.0)
 
 
@@ -89,7 +89,7 @@ def test_compensator_frozen_after_default(ctx_exp):
         if p.tau < 2.0:
             break
     lt = occupation_estimate(p, 0.0, 0.1)
-    k = compensator_curve(p, lt, ctx_exp)
+    k = compensator_curve(p, lt, compensator_weights(ctx_exp, grid.knots))
     j = int(np.searchsorted(p.grid.knots, p.tau))
     assert np.all(k[j:] == k[j])
     assert np.all(np.diff(k) >= 0.0)
@@ -105,14 +105,15 @@ def test_compensator_mean_tracks_default_probability(table_2000):
 def test_compensator_grid_and_level_validation(ctx_exp):
     grid = TimeGrid.regular(1.0, 0.1)
     p = sample_path_direct(ctx_exp, grid, RandomStream(2, 0))
+    weights = compensator_weights(ctx_exp, grid.knots)
     lt_bad_level = occupation_estimate(p, 0.5, 0.1)
     with pytest.raises(DomainError):
-        compensator_curve(p, lt_bad_level, ctx_exp)
+        compensator_curve(p, lt_bad_level, weights)
     other = sample_path_direct(ctx_exp, TimeGrid.regular(1.0, 0.05),
                                RandomStream(2, 1))
     lt_other = occupation_estimate(other, 0.0, 0.1)
     with pytest.raises(DomainError):
-        compensator_curve(p, lt_other, ctx_exp)
+        compensator_curve(p, lt_other, weights)
 
 
 # -- window approximation ---------------------------------------------------------
@@ -123,7 +124,7 @@ def test_window_approximation_monotone_and_stopped(ctx_exp):
         p = sample_path_direct(ctx_exp, grid, RandomStream(43, i))
         if p.tau < 2.0:
             break
-    kh = laplacian_approximation(p, 0.1, ctx_exp)
+    kh = laplacian_approximation(p, 0.1, ctx_exp, window_survivor(p, ctx_exp))
     assert np.all(np.diff(kh) >= 0.0)
     j = int(np.searchsorted(p.grid.knots, p.tau))
     assert np.all(kh[j:] == kh[j])
@@ -144,36 +145,22 @@ def test_window_approximation_mean_matches_window_probability(ctx_exp):
 def test_window_rejects_bad_lag(ctx_exp):
     grid = TimeGrid.regular(1.0, 0.1)
     p = sample_path_direct(ctx_exp, grid, RandomStream(3, 0))
+    survivor = window_survivor(p, ctx_exp)
     for h in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(DomainError):
-            laplacian_approximation(p, h, ctx_exp)
+            laplacian_approximation(p, h, ctx_exp, survivor)
 
 
-@pytest.mark.parametrize("spec,t_max", [("exp:1.0", 1.0), ("uniform:0,0.8", 1.0),
-                                        ("uniform:0,0.8", 0.5)])
-def test_window_shared_survivor_is_bit_identical(spec, t_max):
-    # With t_max 1 on uniform:0,0.8 every path defaults before t1 < t_max and
-    # the last knots have s + h > t1; with t_max 0.5 some paths outlive the grid.
-    ctx = ModelContext(parse_distribution(spec))
-    grid = TimeGrid.regular(t_max, 0.01)
-    paths = [sample_path_direct(ctx, grid, RandomStream(61, i)) for i in range(12)]
-    assert any(p.tau <= t_max for p in paths)
-    assert any(p.tau > t_max for p in paths) or ctx.dist.t1 < t_max
-    for p in paths:
-        survivor = window_survivor(p, ctx)
-        for h in (0.2, 0.1, 0.05, 0.025):
-            assert np.array_equal(laplacian_approximation(p, h, ctx, survivor),
-                                  laplacian_approximation(p, h, ctx))
-
-
-def test_ensemble_window_matches_unshared_curves(ctx_exp):
+def test_ensemble_window_matches_path_curves(ctx_exp):
     job = _job(ctx_exp, dt=0.01, kh=(0.2, 0.05))
     table = run_ensemble(job, 24, workers=1)
     t_idx = np.searchsorted(job.grid.knots, np.asarray(job.times))
     for i in range(24):
         p = sample_path_direct(ctx_exp, job.grid, RandomStream(job.master_seed, i))
-        unshared = [laplacian_approximation(p, h, ctx_exp)[t_idx] for h in job.kh]
-        assert np.array_equal(table.Kh[i], np.array(unshared))
+        survivor = window_survivor(p, ctx_exp)
+        curves = [laplacian_approximation(p, h, ctx_exp, survivor)[t_idx]
+                  for h in job.kh]
+        assert np.array_equal(table.Kh[i], np.array(curves))
 
 
 # -- averaged Gaussian kernel ------------------------------------------------------
@@ -300,12 +287,14 @@ def test_grid_refinement_continuity(ctx_exp):
     eps = 0.05
     fine = TimeGrid.regular(1.0, 2e-3)
     coarse = TimeGrid.regular(1.0, 4e-3)
+    w_fine = compensator_weights(ctx_exp, fine.knots)
+    w_coarse = compensator_weights(ctx_exp, coarse.knots)
     inc_c, inc_f = [], []
     for i in range(150):
         pf = sample_path_direct(ctx_exp, fine, RandomStream(787, i))
         pc = restrict_path(pf, coarse)
-        kc = compensator_curve(pc, occupation_estimate(pc, 0.0, eps), ctx_exp)
-        kf = compensator_curve(pf, occupation_estimate(pf, 0.0, eps), ctx_exp)
+        kc = compensator_curve(pc, occupation_estimate(pc, 0.0, eps), w_coarse)
+        kf = compensator_curve(pf, occupation_estimate(pf, 0.0, eps), w_fine)
         inc_c.append(np.max(np.diff(kc)))
         inc_f.append(np.max(np.diff(kf)))
     ratio = np.mean(inc_f) / np.mean(inc_c)

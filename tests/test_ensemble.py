@@ -63,7 +63,7 @@ def test_table_matches_per_path_module(ctx, job, table):
         p = sample_path_direct(ctx, grid, RandomStream(CFG.seed, i))
         assert p.tau == table.tau[i]
         lt = occupation_estimate(p, 0.0, eps, credit_table=job.credit_table)
-        curve = build_curve(p, lt, ctx, weights=job.weights)
+        curve = build_curve(p, lt, job.weights)
         for j, t in enumerate(job.times):
             assert curve.at(curve.H, t) == table.H[i, j]
             assert curve.at(curve.K, t) == table.K[i, j]
@@ -251,5 +251,5 @@ def test_tanaka_feed_config_switch(ctx):
     from infobridge.localtime import tanaka_estimate
     for i in (0, 13, 63):
         p = sample_path_direct(ctx, grid, RandomStream(cfg.seed, i))
-        k = compensator_curve(p, tanaka_estimate(p, 0.0), ctx, weights=job.weights)
+        k = compensator_curve(p, tanaka_estimate(p, 0.0), job.weights)
         assert k[p.grid.index_of(1.0)] == table.K[i, 0]

@@ -1,5 +1,5 @@
-"""Every top-level import in the package and the tests is used, and the
-command line does not pull in scipy.stats.
+"""Every top-level import in the package, the tests and the demos is used,
+and the command line does not pull in scipy.stats.
 
 A stdlib ``ast`` scan stands in for a linter: a name bound by a module-level
 ``import`` must be read somewhere in the module, or be listed in its
@@ -17,7 +17,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in [*(ROOT / "src" / "infobridge").glob("*.py"),
-                           *(ROOT / "tests").glob("*.py")]
+                           *(ROOT / "tests").glob("*.py"),
+                           *(ROOT / "demos").glob("*.py")]
                if p.name != "__init__.py")
 
 

@@ -414,7 +414,8 @@ def test_hazard_window_rates_match_scalar():
     ]
     for spec, s, x in cases:
         ctx = ModelContext(parse_distribution(spec))
-        rates = hazard_window_rates(ctx, np.array(s), np.array(x), h)
+        sa, xa = np.array(s), np.array(x)
+        rates = hazard_window_rates(ctx, sa, xa, h, scaled_tail_grid(sa, xa, ctx))
         for sv, xv, rv in zip(s, x, rates):
             num, _ = integrate_finite(
                 _scaled_survivor_integrand(sv, xv, ctx),
@@ -426,17 +427,20 @@ def test_hazard_window_rates_match_scalar():
 
 def test_hazard_window_rates_reject_bad_input(ctx_exp):
     s, x = np.array([0.5, 1.0]), np.array([0.2, -0.4])
+    survivor = scaled_tail_grid(s, x, ctx_exp)
     for h in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(DomainError):
-            hazard_window_rates(ctx_exp, s, x, h)
+            hazard_window_rates(ctx_exp, s, x, h, survivor)
     with pytest.raises(DomainError):
-        hazard_window_rates(ctx_exp, s, x, 0.1, survivor=np.ones(3))
+        hazard_window_rates(ctx_exp, s, x, 0.1, np.ones(3))
 
 
 def test_hazard_window_consistent_with_indicator_expectation(ctx_exp):
     # Same quantity through the posterior-expectation operator.
     h, sv, xv = 0.25, 0.8, 0.4
-    rate = float(hazard_window_rates(ctx_exp, np.array([sv]), np.array([xv]), h)[0])
+    s, x = np.array([sv]), np.array([xv])
+    survivor = scaled_tail_grid(s, x, ctx_exp)
+    rate = float(hazard_window_rates(ctx_exp, s, x, h, survivor)[0])
     prob = conditional_expectation(lambda r: 1.0 if r < sv + h else 0.0, sv, xv, ctx_exp)
     assert abs(rate - prob / h) < 1e-6 * max(prob / h, 1e-9)
 

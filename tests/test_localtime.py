@@ -7,6 +7,7 @@ from infobridge.distributions import DefaultDistribution
 from infobridge.errors import DomainError
 from infobridge.laws import ModelContext
 from infobridge.localtime import (
+    BandCreditTable,
     level_grid,
     occupation_estimate,
     occupation_formula_residual,
@@ -31,7 +32,7 @@ def _ramp_path():
     """Deterministic unit-slope path beta_s = s - 1 on [0, 2] (no default)."""
     n = 1024
     knots = np.arange(n + 1) / 512.0
-    grid = TimeGrid(knots, 1.0 / 512.0, 2.0)
+    grid = TimeGrid(knots, 2.0)
     return InformationPath(9.0, grid, knots - 1.0, "direct")
 
 
@@ -51,6 +52,12 @@ def test_occupation_zero_without_occupancy():
 def test_occupation_rejects_bad_epsilon():
     with pytest.raises(DomainError):
         occupation_estimate(_ramp_path(), 0.0, 0.0)
+
+
+def test_occupation_rejects_credit_table_for_other_epsilon():
+    table = BandCreditTable(1.0 / 512.0, 0.1)
+    with pytest.raises(DomainError):
+        occupation_estimate(_ramp_path(), 0.0, 0.25, credit_table=table)
 
 
 def test_tanaka_raw_is_zero_for_constant_sign(ctx_exp):

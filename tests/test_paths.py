@@ -215,7 +215,7 @@ def test_quadratic_variation_frozen_after_default(ctx_exp):
 def test_quadratic_variation_exact_on_synthetic_path():
     n = 1024
     knots = np.arange(n + 1) / 1024.0
-    grid = TimeGrid(knots, 1.0 / 1024.0, 1.0)
+    grid = TimeGrid(knots, 1.0)
     step = math.sqrt(1.0 / 1024.0)
     beta = np.where(np.arange(n + 1) % 2 == 1, step, 0.0)  # increments +-sqrt(dt)
     p = InformationPath(9.0, grid, beta, "direct")
