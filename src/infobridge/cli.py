@@ -13,6 +13,13 @@ convergence   window-approximation gaps against the local-time compensator
               on fixed seeds, with the compensator weights built once per run
               (``convergence.csv``, ``report.txt``)
 
+Every subcommand takes ``--config <file>``; flags override file values and
+each subcommand accepts only the flags of the options it reads:
+
+simulate, convergence   --dist --paths --dt --t-max --seed --out
+compensator             the same plus --zero-k
+survival                --dist --dt --t-max --out, and the state --t --x
+
 Exit codes: 0 success / all gates pass, 1 gate failure, 2 configuration
 error, 3 I/O error.  The compensator's worker count comes from the
 INFOBRIDGE_WORKERS environment variable (default: available CPUs); it must
@@ -29,7 +36,7 @@ import numpy as np
 
 from . import laws
 from .compensator import build_curve, laplacian_approximation, window_survivor
-from .config import load_config
+from .config import FIELD_TYPES, load_config
 from .distributions import parse_distribution
 from .ensemble import (
     build_job,
@@ -188,24 +195,28 @@ def cmd_convergence(cfg):
     return EXIT_OK if ok_all else EXIT_GATE_FAIL
 
 
+# The RunConfig fields each subcommand reads and so accepts as flags; a flag
+# takes the type of its field's annotation.
+_COMMON = ("dist", "paths", "dt", "t_max", "seed", "out")
+_FLAGS = {"simulate": _COMMON, "survival": ("dist", "dt", "t_max", "out"),
+          "compensator": _COMMON + ("zero_k",), "convergence": _COMMON}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="infobridge",
         description="Monte Carlo engine for the bridge-information default model")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_tx in (("simulate", False), ("survival", True),
-                           ("compensator", False), ("convergence", False)):
-        p = sub.add_parser(name)
+    for command, names in _FLAGS.items():
+        p = sub.add_parser(command)
         p.add_argument("--config", default=None)
-        p.add_argument("--dist", default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--t-max", dest="t_max", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--zero-k", dest="zero_k", action="store_true",
-                       default=None)
-        if needs_tx:
+        for name in names:
+            flag, kind = "--" + name.replace("_", "-"), FIELD_TYPES[name]
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, type=kind, default=None)
+        if command == "survival":
             p.add_argument("--t", type=float, required=True)
             p.add_argument("--x", type=float, required=True)
     return parser
@@ -215,10 +226,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(
-            args.config, command=args.command, dist=args.dist, paths=args.paths,
-            dt=args.dt, t_max=args.t_max, seed=args.seed, out=args.out,
-            zero_k=args.zero_k)
+        cfg = load_config(args.config, command=args.command,
+                          **{name: getattr(args, name) for name in _FLAGS[args.command]})
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "survival":

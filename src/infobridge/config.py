@@ -6,6 +6,7 @@ diffable and round-trip exactly.
 """
 
 from dataclasses import dataclass, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from .compensator import parse_functional
 from .errors import ConfigError, DomainError
 from .paths import TimeGrid
 
-__all__ = ["RunConfig", "parse_config_file", "load_config"]
+__all__ = ["RunConfig", "FIELD_TYPES", "parse_config_file", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,10 @@ class RunConfig:
     tail_cutoff_mass: float = 1e-9
     lt_estimator: str = "occupation"
     lt_eps_coeff: float = 1.0
-    kh: tuple = ()
-    report_times: tuple = (0.5, 1.0, 2.0)
-    residual_pairs: tuple = ((0.25, 0.75), (0.5, 1.0), (1.0, 2.0))
-    functionals: tuple = ("one", "indicator_beta_above:0.2", "abs_beta")
+    kh: tuple[float, ...] = ()
+    report_times: tuple[float, ...] = (0.5, 1.0, 2.0)
+    residual_pairs: tuple[tuple[float, float], ...] = ((0.25, 0.75), (0.5, 1.0), (1.0, 2.0))
+    functionals: tuple[str, ...] = ("one", "indicator_beta_above:0.2", "abs_beta")
     gate_multiplier: float = 3.0
     out: str = "."
     zero_k: bool = False
@@ -43,12 +44,14 @@ class RunConfig:
 
     def validate(self, command=None):
         """Check base consistency; report-time/grid alignment is enforced only
-        for commands that consume report times, and the window lags only for
-        the convergence command."""
-        for name, kind in _SCHEMA.items():
-            val = getattr(self, name)
-            if kind in ("float", "floats", "pairs") and not np.all(np.isfinite(val)):
-                raise ConfigError(f"{name} must be finite, got {val}")
+        for commands that consume report times, and a nonempty list of window
+        lags only for the convergence command."""
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if _scalar(f.type) is float and not np.all(np.isfinite(val)):
+                raise ConfigError(f"{f.name} must be finite, got {val}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.dt <= 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_max <= self.dt:
@@ -63,11 +66,10 @@ class RunConfig:
             raise ConfigError("gate_multiplier must be positive")
         if any(h <= 0.0 for h in self.kh):
             raise ConfigError("window lags must be positive")
-        if command == "convergence":
-            if not self.kh:
-                raise ConfigError("convergence needs a nonempty list of window lags (kh)")
-            if not all(a > b for a, b in zip(self.kh, self.kh[1:])):
-                raise ConfigError("window lags must be strictly decreasing")
+        if not all(a > b for a, b in zip(self.kh, self.kh[1:])):
+            raise ConfigError("window lags must be strictly decreasing")
+        if command == "convergence" and not self.kh:
+            raise ConfigError("convergence needs a nonempty list of window lags (kh)")
         if command not in ("compensator", "convergence"):
             return self
         grid = TimeGrid.regular(self.t_max, self.dt)
@@ -96,42 +98,30 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
-def _parse_value(name, text, kind):
-    text = text.strip()
-    try:
-        if kind == "float":
-            return float(text)
-        if kind == "int":
-            return int(text)
-        if kind == "bool":
-            return _BOOL[text.lower()]
-        if kind == "floats":
-            return tuple(float(tok) for tok in text.split(",") if tok.strip())
-        if kind == "strs":
-            return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-        if kind == "pairs":
-            out = []
-            for tok in text.split(","):
-                tok = tok.strip()
-                if not tok:
-                    continue
-                a, _, b = tok.partition(":")
-                out.append((float(a), float(b)))
-            return tuple(out)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad value for {name!r}: {text!r}") from exc
-    return text
+def _scalar(kind):
+    """The item type at the bottom of a (nested) tuple annotation."""
+    while get_args(kind):
+        kind = get_args(kind)[0]
+    return kind
 
 
-_SCHEMA = {
-    "dist": "str", "dt": "float", "t_max": "float", "paths": "int",
-    "seed": "int", "rel_tol": "float", "abs_tol": "float",
-    "tail_cutoff_mass": "float", "lt_estimator": "str",
-    "lt_eps_coeff": "float", "kh": "floats",
-    "report_times": "floats", "residual_pairs": "pairs",
-    "functionals": "strs", "gate_multiplier": "float", "out": "str",
-    "zero_k": "bool",
-}
+def _parse_value(text, kind):
+    """Value of annotation ``kind`` written as ``text``: a tuple[X, ...] is a
+    comma list of X, and a fixed tuple is its items joined by colons."""
+    if kind is bool:
+        return _BOOL[text.strip().lower()]
+    if kind in (str, int, float):
+        return kind(text.strip())
+    args = get_args(kind)
+    if get_origin(kind) is tuple and args[1:] == (Ellipsis,):
+        return tuple(_parse_value(tok, args[0]) for tok in text.split(",") if tok.strip())
+    if get_origin(kind) is tuple:
+        toks = text.split(":")
+        return tuple(_parse_value(tok, a) for tok, a in zip(toks, args, strict=True))
+    raise TypeError(f"no parser for the annotation {kind!r}")
+
+
+FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_file(path):
@@ -146,23 +136,21 @@ def parse_config_file(path):
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _SCHEMA:
+            if key not in FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            overrides[key] = _parse_value(key, value, _SCHEMA[key])
+            try:
+                overrides[key] = _parse_value(value, FIELD_TYPES[key])
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"bad value for {key!r}: {value.strip()!r}") from exc
     return overrides
 
 
 def load_config(config_path=None, command=None, **flag_overrides):
     """RunConfig from an optional file plus non-None flag overrides."""
-    values = {}
-    if config_path is not None:
-        values.update(parse_config_file(config_path))
+    values = {} if config_path is None else parse_config_file(config_path)
     for key, val in flag_overrides.items():
-        if val is None:
-            continue
-        if key not in _SCHEMA:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"unknown configuration key {key!r}")
-        values[key] = val
-    known = {f.name for f in fields(RunConfig)}
-    assert set(values) <= known
+        if val is not None:
+            values[key] = val
     return RunConfig(**values).validate(command)

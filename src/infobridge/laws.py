@@ -412,28 +412,28 @@ def scaled_tail_grid(s, x, ctx, reversion=False, upper=None):
     return out
 
 
+def _ratio(num, den):
+    """num / den where den > 0, else 0."""
+    out = np.zeros(den.shape)
+    ok = den > 0.0
+    out[ok] = num[ok] / den[ok]
+    return out
+
+
 def compensator_weights(ctx, knots):
     """Per-knot weight f(s) / survivor_density(s, 0) driving the compensator.
 
     Knots outside the law domain (0, t_cut) get weight zero: the weight
     vanishes like sqrt(s) at the time origin, and the local-time measure
-    carries no mass from the tail cut on.
+    carries no mass from the tail cut on.  So do knots where the survivor
+    density is not positive.
     """
     knots = np.asarray(knots, dtype=float)
     w = np.zeros(knots.shape)
     live = (knots > 0.0) & (knots < ctx.t_cut)
-    w[live] = _zero_level_weights(ctx, knots[live])
-    return w
-
-
-def _zero_level_weights(ctx, s):
-    """f(s) / survivor_density(s, 0) at times ``s`` before the horizon; zero
-    where the survivor density is not positive."""
-    dens = scaled_tail_grid(s, 0.0, ctx)
-    fvals = np.asarray(ctx.dist.density_f(s), dtype=float)
-    w = np.zeros(s.shape)
-    ok = dens > 0.0
-    w[ok] = fvals[ok] / dens[ok]
+    s = knots[live]
+    w[live] = _ratio(np.asarray(ctx.dist.density_f(s), dtype=float),
+                     scaled_tail_grid(s, 0.0, ctx))
     return w
 
 
@@ -460,10 +460,7 @@ def hazard_window_rates(ctx, s, x, h, survivor):
         raise DomainError(f"survivor densities have shape {den.shape}, "
                           f"states have shape {s.shape}")
     num = scaled_tail_grid(s, x, ctx, upper=np.minimum(s + h, ctx.t_cut))
-    out = np.zeros(s.shape)
-    ok = den > 0.0
-    out[ok] = num[ok] / den[ok] / h
-    return np.clip(out, 0.0, 1.0 / h)
+    return np.clip(_ratio(num, den) / h, 0.0, 1.0 / h)
 
 
 class DriftTable:
@@ -495,14 +492,11 @@ class DriftTable:
             s_eval[0] = s_eval[1]
         live = s_eval < ctx.t_cut
         values = np.zeros((len(s_nodes), _DRIFT_N_X))
-        values[live, 0] = _zero_level_weights(ctx, s_eval[live])
+        values[:, 0] = compensator_weights(ctx, s_eval)
         for j, xj in enumerate(x_pos, start=1):
             den = scaled_tail_grid(s_eval[live], xj, ctx)
             num = scaled_tail_grid(s_eval[live], xj, ctx, reversion=True)
-            col = np.zeros(live.sum())
-            okj = den > 0.0
-            col[okj] = xj * num[okj] / den[okj]
-            values[live, j] = col
+            values[live, j] = _ratio(xj * num, den)
         return cls(s_nodes, x_nodes, values)
 
     def evaluate(self, s, beta):

@@ -1,8 +1,11 @@
+import argparse
 import os
 
 import numpy as np
+import pytest
 
-from infobridge.cli import main
+from infobridge.cli import _build_parser, main
+from infobridge.config import FIELD_TYPES
 from infobridge.distributions import DefaultDistribution
 from infobridge.laws import ModelContext
 
@@ -39,6 +42,9 @@ def test_simulate_rejects_zero_dt(tmp_path):
     assert main(["simulate", "--dt", "0", "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--dt", "nan", "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--t-max", "inf", "--out", str(tmp_path)]) == 2
+    for seed in ("-1", str(2 ** 64)):
+        assert main(["simulate", "--paths", "1", "--seed", seed,
+                     "--out", str(tmp_path)]) == 2
     law = tmp_path / "law.csv"
     law.write_text("t,f\n0,1\n1,nan\n2,0.5\n")
     assert main(["simulate", "--dist", f"table:{law}", "--out", str(tmp_path)]) == 2
@@ -149,6 +155,13 @@ def test_compensator_zero_k_ablation_fails(tmp_path, monkeypatch):
     assert any(r.rsplit(",", 1)[1] == "0" for r in one_rows)
 
 
+def test_compensator_rejects_repeated_lag(tmp_path, monkeypatch):
+    # a repeated lag would write two identical Kh_ columns into curves.csv
+    monkeypatch.setenv("INFOBRIDGE_WORKERS", "1")
+    cfg = _compensator_cfg(tmp_path, paths="200", kh="0.1,0.1")
+    assert main(["compensator", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+
+
 def test_compensator_insufficient_paths(tmp_path, monkeypatch):
     monkeypatch.setenv("INFOBRIDGE_WORKERS", "1")
     cfg = _compensator_cfg(tmp_path, paths="10")
@@ -199,6 +212,38 @@ def test_convergence_empty_h_is_config_error(tmp_path):
 def test_convergence_requires_decreasing_h(tmp_path):
     cfg = _convergence_cfg(tmp_path, "0.1,0.2")
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["convergence", "--zero-k"],
+    ["simulate", "--paths", "1", "--dt", "0.5", "--zero-k"],
+    ["survival", "--dt", "0.1", "--t", "1.0", "--x", "0.3", "--paths", "5"],
+    ["survival", "--dt", "0.1", "--t", "1.0", "--x", "0.3", "--seed", "5"],
+    ["survival", "--dt", "0.1", "--t", "1.0", "--x", "0.3", "--zero-k"],
+], ids=["convergence-zero-k", "simulate-zero-k", "survival-paths", "survival-seed",
+        "survival-zero-k"])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, flags):
+    cfg = _convergence_cfg(tmp_path, "0.2")
+    with pytest.raises(SystemExit) as exc:
+        main(flags + ["--config", cfg, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+def test_flag_types_follow_annotations():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    seen = set()
+    for parser in sub.choices.values():
+        for action in parser._actions:
+            if action.dest not in FIELD_TYPES:
+                continue
+            seen.add(action.dest)
+            assert action.default is None
+            if FIELD_TYPES[action.dest] is bool:
+                assert isinstance(action, argparse._StoreTrueAction)
+            else:
+                assert action.type is FIELD_TYPES[action.dest]
+    assert seen == {"dist", "paths", "dt", "t_max", "seed", "out", "zero_k"}
 
 
 def test_missing_config_file_is_io_error(tmp_path):

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 from infobridge.cli import main
-from infobridge.config import RunConfig, load_config, parse_config_file
+from infobridge.config import (FIELD_TYPES, RunConfig, _parse_value, load_config,
+                               parse_config_file)
 from infobridge.errors import ConfigError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _write(tmp_path, text):
@@ -84,6 +89,12 @@ def test_bad_value(tmp_path):
     dict(kh=(0.2, float("nan"))),
     dict(report_times=(0.5, float("inf"))),
     dict(residual_pairs=((0.5, float("nan")),)),
+    # RandomStream keys on the seed modulo 2**64: these would alias 0 and 2**64 - 1
+    dict(seed=2 ** 64),
+    dict(seed=-1),
+    # window lags are strictly decreasing for every command
+    dict(kh=(0.1, 0.1)),
+    dict(kh=(0.1, 0.2)),
 ])
 def test_base_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -125,3 +136,53 @@ def test_bad_functional():
 def test_unknown_flag_override():
     with pytest.raises(ConfigError):
         load_config(None, tolerance=1.0)
+
+
+def test_seed_range_edges():
+    RunConfig(seed=0).validate()
+    RunConfig(seed=2 ** 64 - 1).validate()
+
+
+# One value per RunConfig field, each different from its default.
+SAMPLE = dict(
+    dist="gamma:2,2", dt=0.02, t_max=1.0, paths=7, seed=2 ** 64 - 1, rel_tol=1e-8,
+    abs_tol=1e-11, tail_cutoff_mass=1e-8, lt_estimator="tanaka", lt_eps_coeff=0.3,
+    kh=(0.2, 0.1), report_times=(0.5, 1.0), residual_pairs=((0.5, 1.0),),
+    functionals=("one", "abs_beta"), gate_multiplier=2.5, out="some/dir", zero_k=True,
+)
+
+
+def _text(value):
+    """A RunConfig value as a config file writes it."""
+    if not isinstance(value, tuple):
+        return str(value)
+    return ",".join(":".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                    for v in value)
+
+
+def test_every_field_round_trips(tmp_path):
+    assert SAMPLE.keys() == FIELD_TYPES.keys()
+    default = RunConfig()
+    assert all(getattr(default, k) != v for k, v in SAMPLE.items())
+    path = _write(tmp_path, "".join(f"{k} = {_text(v)}\n" for k, v in SAMPLE.items()))
+    parsed = parse_config_file(path)
+    assert parsed == SAMPLE
+    assert all(type(parsed[k]) is type(v) for k, v in SAMPLE.items())
+    assert load_config(path, command="compensator") == RunConfig(**SAMPLE)
+
+
+def test_unhandled_annotation_fails_loudly():
+    # a field whose annotation the parser does not know is a programming
+    # error, not a bad value in somebody's file
+    for kind in (list[float], dict, tuple, complex):
+        with pytest.raises(TypeError):
+            _parse_value("1", kind)
+
+
+def test_readme_config_block_lists_every_field(tmp_path):
+    text = README.read_text()
+    start = text.index("```", text.index("Configuration files are flat"))
+    block = text[text.index("\n", start) + 1:text.index("```", start + 3)]
+    parsed = parse_config_file(_write(tmp_path, block))
+    assert parsed.keys() == FIELD_TYPES.keys()
+    RunConfig(**parsed).validate("compensator")
