@@ -39,7 +39,7 @@ for i in range(n):
     p = sample_path_direct(ctx, grid, RandomStream(88, i))
     lt = occupation_estimate(p, 0.0, math.sqrt(dt))
     k1 = compensator_curve(p, lt, weights)[p.grid.index_of(1.0)]
-    survivor = window_survivor(p, ctx)  # the rates' lag-free denominator
+    survivor = window_survivor(p, ctx)  # denominator and panels of every lag's rate
     gaps = [abs(laplacian_approximation(p, h, ctx, survivor)[p.grid.index_of(1.0)]
                 - k1) for h in lags]
     sums += gaps

@@ -94,14 +94,15 @@ def _window_knots(path, ctx):
 
 
 def window_survivor(path, ctx):
-    """Scaled survivor densities at the window knots of ``path``.
+    """Scaled survivor densities at the window knots of ``path``, with their
+    panels (``laws.SurvivorPanels``).
 
-    This is the denominator of every window rate along the path and does not
-    depend on the lag; compute it once per path and pass it to
-    ``laplacian_approximation`` for each lag.
+    The survivor is the denominator of every window rate along the path, and
+    partial sums of its panels give every lag's numerator; compute it once
+    per path and pass it to ``laplacian_approximation`` for each lag.
     """
     idx = _window_knots(path, ctx)
-    return laws.scaled_tail_grid(path.grid.knots[idx], path.beta[idx], ctx)
+    return laws.SurvivorPanels.build(ctx, path.grid.knots[idx], path.beta[idx])
 
 
 def laplacian_approximation(path, h, ctx, survivor):
@@ -114,8 +115,8 @@ def laplacian_approximation(path, h, ctx, survivor):
     Time zero lies outside the law domain, so the step out of it uses the
     rate of the first positive knot.
 
-    ``survivor`` is ``window_survivor(path, ctx)``, the lag-free denominator
-    of the rates, shared by every lag of the path.
+    ``survivor`` is ``window_survivor(path, ctx)``, shared by every lag of
+    the path.
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"window lag must be positive and finite, got {h}")
@@ -123,9 +124,12 @@ def laplacian_approximation(path, h, ctx, survivor):
     spans = path.spans
     incr = np.zeros(len(spans))
     idx = _window_knots(path, ctx)
+    if not (np.array_equal(survivor.s, knots[idx])
+            and np.array_equal(survivor.x, np.abs(path.beta[idx]))):
+        raise DomainError("survivor panels belong to other states than the "
+                          "window knots of this path")
     if len(idx):
-        rates = laws.hazard_window_rates(ctx, knots[idx], path.beta[idx], h,
-                                         survivor)
+        rates = laws.hazard_window_rates(ctx, survivor, h)
         incr[idx] = spans[idx] * rates
         if knots[0] < path.tau and idx[0] == 1:
             incr[0] = spans[0] * rates[0]

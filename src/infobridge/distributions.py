@@ -101,6 +101,9 @@ class DefaultDistribution:
             self._pdf = lambda y: np.interp(y, t, f)
             self._cdf = self._table_cdf
             self._ppf = self._table_quantile
+        # f is evaluated up to the largest float, so f(+inf) is 0 on every
+        # law (the gamma kernel is inf - inf there).
+        self._f_hi = min(self._hi, np.finfo(float).max)
 
     def __reduce__(self):
         # The kernels are closures; rebuild them from the defining data.
@@ -166,7 +169,7 @@ class DefaultDistribution:
         """Density of the default time at ``t`` (vectorized)."""
         ta, y = self._standardize(t)
         # t < 0 as well: y = (t - loc) / scale can underflow to -0.0.
-        inside = (self._lo <= y) & (y <= self._hi) & (ta >= 0)
+        inside = (self._lo <= y) & (y <= self._f_hi) & (ta >= 0)
         if inside.all():
             out = self._pdf(y) / self._scale
         else:

@@ -39,8 +39,11 @@ t_cut on, and the compensator weight is 0 at s = 0 (it vanishes like sqrt(s)
 there) and from t_cut on.  Two evaluation routes exist, each
 with one entry: scalar adaptive quadrature through ``_tail`` (the reference
 used by the public operations) and a fixed-rule Gauss-Legendre panel scheme
-vectorized over grid knots, ``scaled_tail_grid`` (used to build the weight,
-drift and hazard tables that large ensembles need).  The two routes are
+vectorized over grid knots, ``_tail_layout`` (used to build the weight and
+drift tables that large ensembles need, through ``scaled_tail_grid``, and
+the survivor of the window rates, through ``SurvivorPanels``).  The window
+numerator over (s, s + h) is not a third integral: it is a partial sum of
+the survivor's own panels plus one panel up to s + h.  The two routes are
 cross-checked in the test suite.
 """
 
@@ -65,6 +68,7 @@ __all__ = [
     "survival_probability",
     "mean_reversion_drift",
     "scaled_tail_grid",
+    "SurvivorPanels",
     "DriftTable",
 ]
 
@@ -321,95 +325,143 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _PANELS_LIN = 8
 _PANELS_LOG = 12
 _LAYER_DECADES = 4.5  # log window below |x|/sqrt(2): exp(-x^2/(2 z^2)) is 0 there
+_UNDER_LAYER = 9.0    # log width integrated when the layer lies beyond the upper limit
 _DRIFT_N_X = 140      # drift-table levels: 0, then geometric from _DRIFT_X_MIN on
 _DRIFT_X_MIN = 1e-3
 
 
-def _panel_nodes(lo, hi, n_panels):
-    """Gauss-Legendre nodes/weights on n_panels equal panels of [lo, hi] per row."""
+def _panel_edges(lo, hi, n_panels):
+    """Edges of n_panels equal panels of [lo, hi] per row."""
     lo = np.asarray(lo, dtype=float)[:, None]
     hi = np.asarray(hi, dtype=float)[:, None]
-    edges = lo + (hi - lo) * np.linspace(0.0, 1.0, n_panels + 1)[None, :]
+    return lo + (hi - lo) * np.linspace(0.0, 1.0, n_panels + 1)[None, :]
+
+
+def _panel_terms(edges, log, s_rows, x_rows, f, reversion=False):
+    """Weighted integrand terms at the Gauss-Legendre nodes of the panels
+    between consecutive ``edges`` of each row (rows x 24 nodes per panel).
+
+    The panel variable is z, with v = s + z**2, or log z when ``log``.  The
+    terms are 2 sqrt(v / (2 pi s)) exp(-(x/z)^2 / 2) f(v) [/ z^2] times the
+    node weight (and z on log panels), computed in place on a few (rows x
+    nodes) buffers; each product keeps the operand order of the plain
+    expression, so sums over the same panels are bit-identical.
+    """
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    z = mid[:, :, None] + half[:, :, None] * _GL_X[None, None, :]
-    w = half[:, :, None] * _GL_W[None, None, :]
-    n = lo.shape[0]
-    return z.reshape(n, -1), w.reshape(n, -1)
-
-
-def scaled_tail_grid(s, x, ctx, reversion=False, upper=None):
-    """Vectorized scaled tail integrals over v in (s, upper or ctx.t_cut).
-
-    With ``reversion=False`` this is the scaled survivor density (or, with
-    ``upper = s + h``, the scaled h-window numerator of the hazard rate);
-    with ``reversion=True`` the integrand carries an extra (v - s)**-1 and
-    yields the scaled drift integral, which requires x != 0.
-
-    Uses the substitution v = s + z**2.  Rows with |x| effectively zero get
-    linear panels in z; other rows get log-spaced panels resolving the
-    boundary layer of exp(-x^2/(2 z^2)) at z ~ |x|.
-    """
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    s, x = np.broadcast_arrays(s, x)
-    out = np.zeros(s.shape, dtype=float)
-    if upper is None:
-        hi_v = np.full(s.shape, ctx.t_cut)
-    else:
-        hi_v = np.broadcast_to(np.asarray(upper, dtype=float), s.shape)
-    live = hi_v > s
-    if not np.any(live):
-        return out
-    sl, xl, hl = s[live], np.abs(x[live]), hi_v[live]
-    z_hi = np.sqrt(hl - sl)
-    layer = xl / math.sqrt(2.0)
-    f = ctx.dist.density_f
-
-    def accumulate(zn, wn, s_rows, x_rows, jacobian):
-        # 2 sqrt(v / (2 pi s)) exp(-(x/z)^2 / 2) f(v) [/ z^2] * w * jacobian,
-        # in place on two (rows x nodes) buffers; each product keeps the
-        # operand order of the plain expression, so the sums are bit-identical.
-        s_col = s_rows[:, None]
-        v = zn * zn
-        v += s_col
-        with np.errstate(divide="ignore", over="ignore"):
-            vals = v / (2.0 * math.pi * s_col)
-            np.sqrt(vals, out=vals)
-            vals *= 2.0
-            expo = x_rows[:, None] / zn
-            expo *= expo
-            expo *= -0.5
-            np.exp(expo, out=expo)
-            vals *= expo
-            vals *= f(v)
-            if reversion:
-                vals /= np.multiply(zn, zn, out=expo)
-        vals *= wn
-        vals *= jacobian
-        return np.sum(vals, axis=1)
-
-    vals_live = np.zeros(sl.shape)
-
-    lin = layer <= z_hi * 1e-8
-    if np.any(lin):
+    n = edges.shape[0]
+    zn = half[:, :, None] * _GL_X[None, None, :]
+    zn += mid[:, :, None]
+    zn = zn.reshape(n, -1)
+    if log:
+        np.exp(zn, out=zn)
+    s_col = s_rows[:, None]
+    v = zn * zn
+    v += s_col
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = v / (2.0 * math.pi * s_col)
+        np.sqrt(vals, out=vals)
+        vals *= 2.0
+        expo = x_rows[:, None] / zn
+        expo *= expo
+        expo *= -0.5
+        np.exp(expo, out=expo)
+        vals *= expo
+        vals *= f(v)
         if reversion:
-            raise DomainError("drift integral requires a nonzero level x")
-        zn, wn = _panel_nodes(np.zeros(lin.sum()), z_hi[lin], _PANELS_LIN)
-        vals_live[lin] = accumulate(zn, wn, sl[lin], xl[lin], 1.0)
+            vals /= np.multiply(zn, zn, out=expo)
+    vals *= np.multiply(half[:, :, None], _GL_W[None, None, :],
+                        out=expo.reshape(half.shape + _GL_W.shape)).reshape(n, -1)
+    if log:
+        vals *= zn
+    return vals
+
+
+def _tail_layout(s, x, ctx):
+    """Panels of the integrals over v = s + z**2 in (s, ctx.t_cut).
+
+    Rows with |x| effectively zero get linear panels in z; other rows get
+    log-spaced panels resolving the boundary layer of exp(-x^2/(2 z^2)) at
+    z ~ |x|.  Returns ``(rows, log, edges)`` per nonempty row group, with
+    ``rows`` a mask over the states; states from the cut on are in none.
+    """
+    t_cut = ctx.t_cut
+    live = s < t_cut
+    z_hi = np.sqrt(t_cut - s[live])
+    layer = np.abs(x[live]) / math.sqrt(2.0)
+    lin = layer <= z_hi * 1e-8
+    groups = []
+    if np.any(lin):
+        rows = np.zeros(s.shape, dtype=bool)
+        rows[live] = lin
+        groups.append((rows, False,
+                       _panel_edges(np.zeros(lin.sum()), z_hi[lin], _PANELS_LIN)))
     logr = ~lin
     if np.any(logr):
         lo_w = np.log(layer[logr]) - _LAYER_DECADES
         hi_w = np.log(z_hi[logr])
         # If the boundary layer sits beyond the upper limit the integral is
         # effectively zero; integrate a short window under it anyway.
-        lo_w = np.where(lo_w < hi_w - 1e-12, lo_w, hi_w - 9.0)
-        wn_nodes, wn_weights = _panel_nodes(lo_w, hi_w, _PANELS_LOG)
-        zn = np.exp(wn_nodes)
-        vals_live[logr] = accumulate(zn, wn_weights, sl[logr], xl[logr], zn)
+        lo_w = np.where(lo_w < hi_w - 1e-12, lo_w, hi_w - _UNDER_LAYER)
+        rows = np.zeros(s.shape, dtype=bool)
+        rows[live] = logr
+        groups.append((rows, True, _panel_edges(lo_w, hi_w, _PANELS_LOG)))
+    return groups
 
-    out[live] = vals_live
+
+def scaled_tail_grid(s, x, ctx, reversion=False):
+    """Vectorized scaled tail integrals over v in (s, ctx.t_cut).
+
+    With ``reversion=False`` this is the scaled survivor density; with
+    ``reversion=True`` the integrand carries an extra (v - s)**-1 and yields
+    the scaled drift integral, which requires x != 0.
+
+    Uses the substitution v = s + z**2 and fixed Gauss-Legendre panels
+    (``_tail_layout``); states from the tail cut on get 0.
+    """
+    s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
+    out = np.zeros(s.shape, dtype=float)
+    for rows, log, edges in _tail_layout(s, x, ctx):
+        if reversion and not log:
+            raise DomainError("drift integral requires a nonzero level x")
+        out[rows] = np.sum(_panel_terms(edges, log, s[rows], np.abs(x[rows]),
+                                        ctx.dist.density_f, reversion), axis=1)
     return out
+
+
+@dataclass(frozen=True)
+class SurvivorPanels:
+    """Scaled survivor densities at states (s, x), with the panels that sum
+    to them.
+
+    ``survivor`` is ``scaled_tail_grid(s, x, ctx)`` bit for bit.  Per row
+    group of ``_tail_layout`` (linear panels in z, log panels in log z),
+    ``groups`` keeps ``(rows, log, edges, below)``: the panel edges in the
+    panel variable and, at each edge, the sum of the panels below it.  An
+    integral of the survivor integrand over (s, u) for any u before the cut
+    is then one of those sums plus a single panel up to u.
+    """
+
+    s: np.ndarray
+    x: np.ndarray
+    survivor: np.ndarray
+    groups: tuple
+
+    @classmethod
+    def build(cls, ctx, s, x):
+        s = np.asarray(s, dtype=float)
+        x = np.abs(np.asarray(x, dtype=float))
+        survivor = np.zeros(s.shape)
+        groups = []
+        for rows, log, edges in _tail_layout(s, x, ctx):
+            terms = _panel_terms(edges, log, s[rows], x[rows], ctx.dist.density_f)
+            survivor[rows] = np.sum(terms, axis=1)
+            n, n_panels = edges.shape[0], edges.shape[1] - 1
+            below = np.zeros(edges.shape)
+            np.cumsum(terms.reshape(n, n_panels, -1).sum(axis=2), axis=1,
+                      out=below[:, 1:])
+            groups.append((rows, log, edges, below))
+        return cls(s, x, survivor, tuple(groups))
 
 
 def _ratio(num, den):
@@ -437,29 +489,46 @@ def compensator_weights(ctx, knots):
     return w
 
 
-def hazard_window_rates(ctx, s, x, h, survivor):
-    """Vectorized conditional rate (1/h) P(tau in (s, s+h) | beta_s = x, tau > s).
+def hazard_window_rates(ctx, panels, h):
+    """Vectorized conditional rate (1/h) P(tau in (s, s+h) | beta_s = x, tau > s)
+    at the states of ``panels`` (a ``SurvivorPanels``).
 
     Ratio of the h-window numerator to the survivor density; the common
     exp(-x^2/(2s)) scale cancels, so the rate is stable for any |x|.  The
-    window stops at the tail cut like the survivor integral does: where
-    s + h reaches past it (the end of a bounded support) the two integrals
-    are the same and the rate is exactly 1/h, with no panel straddling the
-    edge of f.
-
-    The denominator ``survivor`` is ``scaled_tail_grid(s, x, ctx)`` (same
-    shape as ``s``).  It does not depend on h, so callers compute it once
-    for all the lags at the same states.  The lag must be positive and
-    finite.
+    numerator reuses the survivor's panels: the sum of the full panels below
+    the window's end z = sqrt((s + h) - s) (log z on log rows) plus one
+    Gauss-Legendre panel from the last full edge up to it, 24 integrand
+    evaluations per state.  Where the boundary layer lies beyond the
+    window's end, that panel spans the short window under it, as the
+    survivor's own panels do at the tail cut.  The window stops at the tail
+    cut like the survivor integral does: where s + h reaches it (the end of
+    a bounded support) the numerator is the survivor itself and the rate is
+    exactly 1/h, with no panel straddling the edge of f.  The lag must be
+    positive and finite.
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"window lag must be positive and finite, got {h}")
-    s = np.asarray(s, dtype=float)
-    den = np.asarray(survivor, dtype=float)
-    if den.shape != s.shape:
-        raise DomainError(f"survivor densities have shape {den.shape}, "
-                          f"states have shape {s.shape}")
-    num = scaled_tail_grid(s, x, ctx, upper=np.minimum(s + h, ctx.t_cut))
+    s, x, den, t_cut = panels.s, panels.x, panels.survivor, ctx.t_cut
+    top = s + h
+    num = np.where(top < t_cut, 0.0, den)
+    for rows, log, edges, below in panels.groups:
+        part = (top[rows] < t_cut) & (top[rows] > s[rows])
+        if not np.any(part):
+            continue
+        s_part = s[rows][part]
+        target = np.sqrt(top[rows][part] - s_part)
+        if log:
+            target = np.log(target)
+        edges, below = edges[part], below[part]
+        k = np.sum(edges[:, 1:] <= target[:, None], axis=1)
+        i = np.arange(len(k))
+        start = edges[i, k]
+        if log:  # the layer beyond the window's end, as in _tail_layout
+            start = np.where(edges[:, 0] < target - 1e-12, start,
+                             target - _UNDER_LAYER)
+        last = _panel_terms(np.stack([start, target], axis=1), log, s_part,
+                            x[rows][part], ctx.dist.density_f)
+        num[np.flatnonzero(rows)[part]] = below[i, k] + np.sum(last, axis=1)
     return np.clip(_ratio(num, den) / h, 0.0, 1.0 / h)
 
 

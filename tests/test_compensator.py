@@ -151,6 +151,14 @@ def test_window_rejects_bad_lag(ctx_exp):
             laplacian_approximation(p, h, ctx_exp, survivor)
 
 
+def test_window_rejects_other_paths_survivor(ctx_exp):
+    grid = TimeGrid.regular(1.0, 0.1)
+    p = sample_path_direct(ctx_exp, grid, RandomStream(3, 0))
+    other = sample_path_direct(ctx_exp, grid, RandomStream(3, 1))
+    with pytest.raises(DomainError):
+        laplacian_approximation(p, 0.1, ctx_exp, window_survivor(other, ctx_exp))
+
+
 def test_ensemble_window_matches_path_curves(ctx_exp):
     job = _job(ctx_exp, dt=0.01, kh=(0.2, 0.05))
     table = run_ensemble(job, 24, workers=1)

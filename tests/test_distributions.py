@@ -40,6 +40,19 @@ def test_gamma_density_matches_tabulated_oracle():
     assert abs(d.density_f(1.0) - oracle) < 1e-9
 
 
+def test_density_vanishes_at_infinity():
+    # the gamma kernel is inf - inf at +inf for shapes above 1
+    for d in (DefaultDistribution.exponential(1.0),
+              DefaultDistribution.gamma(3.0, 1.0),
+              DefaultDistribution.gamma(0.5, 2.0),
+              DefaultDistribution.uniform(0.0, 2.0),
+              DefaultDistribution.lognormal(0.0, 0.5),
+              DefaultDistribution.from_table([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])):
+        with np.errstate(all="raise"):
+            assert d.density_f(math.inf) == 0.0
+            assert _bits(d.density_f(np.array([math.inf, -math.inf]))) == _bits([0.0, 0.0])
+
+
 def test_cdf_zero_at_origin():
     for d in (DefaultDistribution.exponential(1.0),
               DefaultDistribution.gamma(2.0, 1.0),
@@ -243,7 +256,9 @@ def test_kernels_match_scipy_stats(data, kind):
         data.draw(st.lists(st.floats(-5.0, 1e3), max_size=20)),
     ])
     with np.errstate(all="ignore"):
-        f_ref = np.where(t < 0, 0.0, frozen.pdf(t))
+        # f(+inf) is 0 on every law; scipy.stats is NaN there for gamma
+        # shapes above 1
+        f_ref = np.where((t < 0) | (t == np.inf), 0.0, frozen.pdf(t))
         cdf_ref = np.where(t < 0, 0.0, frozen.cdf(t))
         assert _bits(d.density_f(t)) == _bits(f_ref)
         assert _bits(d.cdf_F(t)) == _bits(cdf_ref)
@@ -252,7 +267,7 @@ def test_kernels_match_scipy_stats(data, kind):
         for v in t.tolist():
             f, cdf = d.density_f(v), d.cdf_F(v)
             assert type(f) is float and type(cdf) is float
-            assert _bits(f) == _bits(np.where(v < 0, 0.0, frozen.pdf(v)))
+            assert _bits(f) == _bits(np.where(v < 0 or v == math.inf, 0.0, frozen.pdf(v)))
             assert _bits(cdf) == _bits(np.where(v < 0, 0.0, frozen.cdf(v)))
     u = np.array(data.draw(st.lists(st.floats(0.0, 0.999999), min_size=1, max_size=10)))
     assert type(d.quantile(float(u[0]))) is float

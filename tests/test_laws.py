@@ -19,8 +19,10 @@ from infobridge.laws import (
     posterior_density,
     scaled_tail_grid,
     survival_probability,
+    SurvivorPanels,
     survivor_density,
     survivor_density_floor,
+    _layer_points,
     _log_scaled_bridge,
     _scaled_survivor,
     _scaled_survivor_integrand,
@@ -414,8 +416,8 @@ def test_hazard_window_rates_match_scalar():
     ]
     for spec, s, x in cases:
         ctx = ModelContext(parse_distribution(spec))
-        sa, xa = np.array(s), np.array(x)
-        rates = hazard_window_rates(ctx, sa, xa, h, scaled_tail_grid(sa, xa, ctx))
+        panels = SurvivorPanels.build(ctx, np.array(s), np.array(x))
+        rates = hazard_window_rates(ctx, panels, h)
         for sv, xv, rv in zip(s, x, rates):
             num, _ = integrate_finite(
                 _scaled_survivor_integrand(sv, xv, ctx),
@@ -426,23 +428,86 @@ def test_hazard_window_rates_match_scalar():
 
 
 def test_hazard_window_rates_reject_bad_input(ctx_exp):
-    s, x = np.array([0.5, 1.0]), np.array([0.2, -0.4])
-    survivor = scaled_tail_grid(s, x, ctx_exp)
+    panels = SurvivorPanels.build(ctx_exp, np.array([0.5, 1.0]), np.array([0.2, -0.4]))
     for h in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(DomainError):
-            hazard_window_rates(ctx_exp, s, x, h, survivor)
-    with pytest.raises(DomainError):
-        hazard_window_rates(ctx_exp, s, x, 0.1, np.ones(3))
+            hazard_window_rates(ctx_exp, panels, h)
+    # a lag below the spacing of floats at s leaves an empty window
+    panels = SurvivorPanels.build(ctx_exp, np.array([1.0, 1.0]), np.array([0.0, 0.3]))
+    assert np.array_equal(hazard_window_rates(ctx_exp, panels, 1e-17), [0.0, 0.0])
 
 
 def test_hazard_window_consistent_with_indicator_expectation(ctx_exp):
     # Same quantity through the posterior-expectation operator.
     h, sv, xv = 0.25, 0.8, 0.4
-    s, x = np.array([sv]), np.array([xv])
-    survivor = scaled_tail_grid(s, x, ctx_exp)
-    rate = float(hazard_window_rates(ctx_exp, s, x, h, survivor)[0])
+    panels = SurvivorPanels.build(ctx_exp, np.array([sv]), np.array([xv]))
+    rate = float(hazard_window_rates(ctx_exp, panels, h)[0])
     prob = conditional_expectation(lambda r: 1.0 if r < sv + h else 0.0, sv, xv, ctx_exp)
     assert abs(rate - prob / h) < 1e-6 * max(prob / h, 1e-9)
+
+
+@pytest.mark.parametrize("law", ["exp:1.0", "gamma:2,2", "lognormal:0,0.5",
+                                 "uniform:0,3"])
+def test_survivor_panels_match_tail_grid(law):
+    # The panels' survivor is the plain grid route's, bit for bit, on
+    # linear rows (|x| <= 1e-9), log rows and layers beyond the cut.
+    ctx = ModelContext(_LAWS[law])
+    cut = ctx.t_cut
+    s = np.array([0.01, 0.3, 0.5 * cut, 0.9 * cut, 0.999 * cut, 0.2, 0.7, 1.1])
+    x = np.array([0.0, -1e-9, 1e-12, 2.5, -0.3, 40.0, 0.0, -7.0])
+    panels = SurvivorPanels.build(ctx, s, x)
+    grid = scaled_tail_grid(s, x, ctx)
+    assert panels.survivor.tobytes() == grid.tobytes()
+    assert np.array_equal(panels.x, np.abs(x))
+    # the sums below the top edge add the same panels up in another order
+    top = np.zeros(s.shape)
+    for rows, _, _, below in panels.groups:
+        top[rows] = below[:, -1]
+    np.testing.assert_allclose(top, grid, rtol=1e-13, atol=0.0)
+
+
+def _level(kind, magnitude, h):
+    """An information value of the given kind: 0, a linear-row level
+    (|x| <= 1e-9), a free level, or a boundary layer |x|/sqrt(2) beyond
+    sqrt(h), up to 10**2.5 times (past e**4.5 it lies below the first edge)."""
+    if kind == "zero":
+        return 0.0
+    if kind == "tiny":
+        return 1e-9 * magnitude
+    if kind == "free":
+        return 4.0 * magnitude
+    return math.copysign(math.sqrt(2.0 * h) * 10.0 ** (2.5 * abs(magnitude)), magnitude)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(["exp:1.0", "gamma:2,2", "lognormal:0,0.5", "uniform:0,3"]),
+       h=st.floats(1e-3, 1.0),
+       states=st.lists(st.tuples(st.floats(0.005, 1.0),
+                                 st.sampled_from(["zero", "tiny", "free", "layer"]),
+                                 st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=6))
+def test_hazard_window_rates_match_scalar_property(law, h, states):
+    # Partial sums of the survivor's panels against the adaptive reference
+    # over (s, min(s + h, t_cut)); states with frac near 1 reach the cut,
+    # where the rate is exactly 1/h.
+    ctx = ModelContext(_LAWS[law])
+    cut = ctx.t_cut
+    s = np.array([math.nextafter(frac * cut, 0.0) for frac, _, _ in states])
+    x = np.array([_level(kind, m, h) for _, kind, m in states])
+    panels = SurvivorPanels.build(ctx, s, x)
+    rates = hazard_window_rates(ctx, panels, h)
+    for sv, xv, den, rv in zip(s.tolist(), x.tolist(), panels.survivor, rates):
+        assert 0.0 <= rv <= 1.0 / h
+        if sv + h >= cut:
+            assert rv == (1.0 / h if den > 0.0 else 0.0)
+            continue
+        points = _layer_points(sv, xv)
+        num, _ = integrate_finite(_scaled_survivor_integrand(sv, xv, ctx),
+                                  sv, sv + h, ctx.quad, singular_at_a=True,
+                                  interior_points=points)
+        ref_den = _scaled_survivor(sv, xv, ctx)
+        slow = num / ref_den / h if ref_den > 0.0 else 0.0
+        assert abs(rv - slow) < 1e-6 * max(slow, 1e-9), (law, h, sv, xv)
 
 
 def test_drift_table_matches_exact(ctx_exp):
