@@ -158,7 +158,10 @@ class DefaultDistribution:
     @classmethod
     def from_table_file(cls, path):
         """Load a CSV with header ``t,f`` and strictly increasing t."""
-        rows = np.genfromtxt(path, delimiter=",", names=True)
+        try:
+            rows = np.genfromtxt(path, delimiter=",", names=True)
+        except ValueError as exc:  # rows of the wrong length
+            raise ConfigError(f"{path}: {exc}") from exc
         if rows.dtype.names is None or rows.dtype.names[:2] != ("t", "f"):
             raise ConfigError(f"{path}: expected CSV header 't,f'")
         return cls.from_table(rows["t"], rows["f"])

@@ -36,15 +36,16 @@ Every tail integral stops at the context's ``t_cut``: the law's ``tail_cut``
 at the quadrature policy's cutoff mass.  That cut is also the one domain of
 every law: states (s, x) are admitted for 0 < s < t_cut, survival is 0 from
 t_cut on, and the compensator weight is 0 at s = 0 (it vanishes like sqrt(s)
-there) and from t_cut on.  Two evaluation routes exist, each
-with one entry: scalar adaptive quadrature through ``_tail`` (the reference
-used by the public operations) and a fixed-rule Gauss-Legendre panel scheme
-vectorized over grid knots, ``_tail_layout`` (used to build the weight and
-drift tables that large ensembles need, through ``scaled_tail_grid``, and
-the survivor of the window rates, through ``SurvivorPanels``).  The window
-numerator over (s, s + h) is not a third integral: it is a partial sum of
-the survivor's own panels plus one panel up to s + h.  The two routes are
-cross-checked in the test suite.
+there) and from t_cut on.  Two evaluation routes exist: scalar adaptive
+quadrature through ``_tail`` (the reference used by the public operations)
+and a fixed-rule Gauss-Legendre panel scheme vectorized over grid knots,
+with one layout (``_tail_layout``) and one integrand kernel
+(``_panel_terms``).  ``SurvivorPanels`` is the panel route's survivor entry:
+the compensator weights and the survivor of the window rates read it.  The
+window numerator over (s, s + h) is not a third integral: it is a partial
+sum of the survivor's own panels plus one panel up to s + h.  The drift
+table takes survivor and drift terms from one kernel pass per column.  The
+two routes are cross-checked in the test suite.
 """
 
 import math
@@ -67,7 +68,6 @@ __all__ = [
     "conditional_expectation",
     "survival_probability",
     "mean_reversion_drift",
-    "scaled_tail_grid",
     "SurvivorPanels",
     "DriftTable",
 ]
@@ -342,10 +342,13 @@ def _panel_terms(edges, log, s_rows, x_rows, f, reversion=False):
     between consecutive ``edges`` of each row (rows x 24 nodes per panel).
 
     The panel variable is z, with v = s + z**2, or log z when ``log``.  The
-    terms are 2 sqrt(v / (2 pi s)) exp(-(x/z)^2 / 2) f(v) [/ z^2] times the
-    node weight (and z on log panels), computed in place on a few (rows x
-    nodes) buffers; each product keeps the operand order of the plain
-    expression, so sums over the same panels are bit-identical.
+    survivor terms are 2 sqrt(v / (2 pi s)) exp(-(x/z)^2 / 2) f(v) times the
+    node weight (and z on log panels).  With ``reversion`` the call returns
+    them together with the drift terms: the same products divided by z^2
+    (that is, v - s) before the node weights are applied.  Everything is
+    computed in place on a few (rows x nodes) buffers; each product keeps the
+    operand order of the plain expression, so sums over the same panels are
+    bit-identical.
     """
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
@@ -368,13 +371,16 @@ def _panel_terms(edges, log, s_rows, x_rows, f, reversion=False):
         np.exp(expo, out=expo)
         vals *= expo
         vals *= f(v)
+        terms = [vals]
         if reversion:
-            vals /= np.multiply(zn, zn, out=expo)
-    vals *= np.multiply(half[:, :, None], _GL_W[None, None, :],
-                        out=expo.reshape(half.shape + _GL_W.shape)).reshape(n, -1)
-    if log:
-        vals *= zn
-    return vals
+            terms.append(np.divide(vals, np.multiply(zn, zn, out=expo), out=expo))
+    weights = np.multiply(half[:, :, None], _GL_W[None, None, :],
+                          out=v.reshape(half.shape + _GL_W.shape)).reshape(n, -1)
+    for t in terms:
+        t *= weights
+        if log:
+            t *= zn
+    return tuple(terms) if reversion else vals
 
 
 def _tail_layout(s, x, ctx):
@@ -409,37 +415,19 @@ def _tail_layout(s, x, ctx):
     return groups
 
 
-def scaled_tail_grid(s, x, ctx, reversion=False):
-    """Vectorized scaled tail integrals over v in (s, ctx.t_cut).
-
-    With ``reversion=False`` this is the scaled survivor density; with
-    ``reversion=True`` the integrand carries an extra (v - s)**-1 and yields
-    the scaled drift integral, which requires x != 0.
-
-    Uses the substitution v = s + z**2 and fixed Gauss-Legendre panels
-    (``_tail_layout``); states from the tail cut on get 0.
-    """
-    s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
-    out = np.zeros(s.shape, dtype=float)
-    for rows, log, edges in _tail_layout(s, x, ctx):
-        if reversion and not log:
-            raise DomainError("drift integral requires a nonzero level x")
-        out[rows] = np.sum(_panel_terms(edges, log, s[rows], np.abs(x[rows]),
-                                        ctx.dist.density_f, reversion), axis=1)
-    return out
-
-
 @dataclass(frozen=True)
 class SurvivorPanels:
     """Scaled survivor densities at states (s, x), with the panels that sum
-    to them.
+    to them: the one survivor entry of the panel route.
 
-    ``survivor`` is ``scaled_tail_grid(s, x, ctx)`` bit for bit.  Per row
-    group of ``_tail_layout`` (linear panels in z, log panels in log z),
-    ``groups`` keeps ``(rows, log, edges, below)``: the panel edges in the
-    panel variable and, at each edge, the sum of the panels below it.  An
-    integral of the survivor integrand over (s, u) for any u before the cut
-    is then one of those sums plus a single panel up to u.
+    ``survivor`` is the sum of the survivor terms of ``_panel_terms`` over
+    the panels of ``_tail_layout``; states from the tail cut on get 0.  Per
+    row group (linear panels in z, log panels in log z), ``groups`` keeps
+    ``(rows, log, edges, below)``: the panel edges in the panel variable
+    and, at each edge, the sum of the panels below it.  An integral of the
+    survivor integrand over (s, u) for any u before the cut is then one of
+    those sums plus a single panel up to u.  ``build`` broadcasts s against
+    x, so a scalar level serves a whole grid of times.
     """
 
     s: np.ndarray
@@ -449,8 +437,8 @@ class SurvivorPanels:
 
     @classmethod
     def build(cls, ctx, s, x):
-        s = np.asarray(s, dtype=float)
-        x = np.abs(np.asarray(x, dtype=float))
+        s, x = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                   np.abs(np.asarray(x, dtype=float)))
         survivor = np.zeros(s.shape)
         groups = []
         for rows, log, edges in _tail_layout(s, x, ctx):
@@ -485,7 +473,7 @@ def compensator_weights(ctx, knots):
     live = (knots > 0.0) & (knots < ctx.t_cut)
     s = knots[live]
     w[live] = _ratio(np.asarray(ctx.dist.density_f(s), dtype=float),
-                     scaled_tail_grid(s, 0.0, ctx))
+                     SurvivorPanels.build(ctx, s, 0.0).survivor)
     return w
 
 
@@ -539,7 +527,10 @@ class DriftTable:
     limit f(s)/survivor_density(s, 0) at the first column) and evaluates by
     bilinear interpolation with odd reflection in x.  Built once per run
     configuration; large ensembles interpolate instead of integrating per
-    knot.
+    knot.  Each level column is one ``_panel_terms`` pass per row group,
+    whose survivor and drift terms share the integrand evaluations; nodes
+    from the tail cut on get 0.  Every level must fall on log rows: a level
+    too small against the cut's z range raises ``DomainError``.
     """
 
     def __init__(self, s_nodes, x_nodes, values):
@@ -559,13 +550,19 @@ class DriftTable:
         s_eval = s_nodes.copy()
         if s_eval[0] <= 0.0:
             s_eval[0] = s_eval[1]
-        live = s_eval < ctx.t_cut
         values = np.zeros((len(s_nodes), _DRIFT_N_X))
         values[:, 0] = compensator_weights(ctx, s_eval)
         for j, xj in enumerate(x_pos, start=1):
-            den = scaled_tail_grid(s_eval[live], xj, ctx)
-            num = scaled_tail_grid(s_eval[live], xj, ctx, reversion=True)
-            values[live, j] = _ratio(xj * num, den)
+            x = np.full(s_eval.shape, xj)
+            den, num = np.zeros(s_eval.shape), np.zeros(s_eval.shape)
+            for rows, log, edges in _tail_layout(s_eval, x, ctx):
+                if not log:
+                    raise DomainError("drift integral requires a nonzero level x")
+                # summed at once: the terms of one column do not outlive it
+                den[rows], num[rows] = (np.sum(t, axis=1) for t in _panel_terms(
+                    edges, log, s_eval[rows], x[rows], ctx.dist.density_f,
+                    reversion=True))
+            values[:, j] = _ratio(xj * num, den)
         return cls(s_nodes, x_nodes, values)
 
     def evaluate(self, s, beta):

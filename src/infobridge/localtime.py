@@ -184,37 +184,32 @@ def tanaka_estimate(path, x, monotone=True):
     return LocalTimeCurve(float(x), path.grid, values)
 
 
-def level_grid(path, dx, margin=None):
+def level_grid(path, dx):
     """Symmetric level grid with spacing dx covering the path's range.
 
     Spans [-M, M] where M is the running maximum of |beta| at the horizon,
-    extended by ``margin`` so boundary bands still cover everything the
-    estimator can credit; the default margin is the within-step crossing
-    reach plus one spacing.
+    extended by a margin so boundary bands still cover everything the
+    estimator can credit: the within-step crossing reach plus one spacing.
     """
     if dx <= 0.0:
         raise DomainError(f"dx must be positive, got {dx}")
     m = float(np.max(np.abs(path.beta)))
-    if margin is None:
-        step = float(np.max(np.diff(path.grid.knots)))
-        margin = math.sqrt(_CROSSING_REACH2 * step) + 2.0 * dx
+    step = float(np.max(np.diff(path.grid.knots)))
+    margin = math.sqrt(_CROSSING_REACH2 * step) + 2.0 * dx
     n = int(np.ceil((m + margin) / dx))
     return np.arange(-n, n + 1) * dx
 
 
-def occupation_formula_residual(path, h, levels, curves, t=None):
+def occupation_formula_residual(path, h, levels, curves):
     """Gap between the two sides of the occupation-time identity.
 
-    Left side: left-endpoint Riemann sum of h(s, beta_s) over [0, min(t, tau)].
+    Left side: left-endpoint Riemann sum of h(s, beta_s) over [0, min(t_max, tau)].
     Right side: sum over levels x of dx times the Stieltjes integral of
     h(s, x) against the estimated local-time measure at x (left-endpoint
     evaluation on knot increments).  ``h`` must accept numpy arrays.
     """
     knots = path.grid.knots
-    if t is None:
-        t = path.grid.t_max
-    in_window = knots[1:] <= t
-    active = in_window & (knots[:-1] < path.tau)
+    active = knots[:-1] < path.tau
     lhs = float(np.sum(h(knots[:-1][active], path.beta[:-1][active])
                        * path.spans[active]))
 
@@ -226,5 +221,5 @@ def occupation_formula_residual(path, h, levels, curves, t=None):
     rhs = 0.0
     for x, curve in zip(levels, curves):
         dl = np.diff(curve.values)
-        rhs += dx * float(np.sum(h(knots[:-1][in_window], x) * dl[in_window]))
+        rhs += dx * float(np.sum(h(knots[:-1], x) * dl))
     return abs(lhs - rhs)

@@ -59,8 +59,12 @@ class TimeGrid:
             raise DomainError(f"dt must be positive, got {dt}")
         if t_max <= dt:
             raise DomainError(f"t_max must exceed dt, got t_max={t_max}, dt={dt}")
-        n = int(math.ceil(t_max / dt - 1e-12))
-        knots = np.linspace(0.0, t_max, n + 1)
+        steps = t_max / dt
+        try:
+            knots = np.linspace(0.0, t_max, int(math.ceil(steps - 1e-12)) + 1)
+        except (OverflowError, ValueError, MemoryError) as exc:
+            raise DomainError(f"dt={dt} gives {steps:.3g} steps, more than can "
+                              f"be allocated") from exc
         return cls(knots, float(t_max))
 
     def index_of(self, t):

@@ -50,6 +50,21 @@ def test_simulate_rejects_zero_dt(tmp_path):
     assert main(["simulate", "--dist", f"table:{law}", "--out", str(tmp_path)]) == 2
 
 
+def test_table_with_short_row_is_config_error(tmp_path):
+    law = tmp_path / "law.csv"
+    law.write_text("t,f\n0\n")
+    assert main(["simulate", "--dist", f"table:{law}", "--out", str(tmp_path)]) == 2
+
+
+def test_unallocatable_step_count_is_domain_error(tmp_path):
+    # Step counts that fail before any allocation: 2e17 and 2e300 knots are
+    # beyond any address space, and 5e-324 makes t_max / dt infinite.
+    base = ["survival", "--dist", "exp:1.0", "--t-max", "2", "--t", "1",
+            "--x", "0.3", "--out", str(tmp_path)]
+    for dt in ("1e-17", "1e-300", "5e-324"):
+        assert main(base + ["--dt", dt]) == 2
+
+
 def test_survival_curve(tmp_path):
     out = str(tmp_path)
     rc = main(["survival", "--dist", "exp:1.0", "--dt", "0.1", "--t-max", "2.5",

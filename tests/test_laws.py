@@ -17,7 +17,6 @@ from infobridge.laws import (
     inverse_survivor_density,
     mean_reversion_drift,
     posterior_density,
-    scaled_tail_grid,
     survival_probability,
     SurvivorPanels,
     survivor_density,
@@ -362,33 +361,51 @@ def test_scaled_survivor_grid_matches_adaptive(ctx_exp, ctx_unif):
         hi = min(ctx.dist.t1, 3.0)
         s = rng.uniform(0.05, hi - 0.05, size=24)
         x = np.concatenate([np.zeros(6), rng.uniform(0.001, 5.0, size=18)])
-        fast = scaled_tail_grid(s, x, ctx)
+        fast = SurvivorPanels.build(ctx, s, x).survivor
         slow = np.array([_scaled_survivor(float(a), float(b), ctx)
                          for a, b in zip(s, x)])
         np.testing.assert_allclose(fast, slow, rtol=1e-7, atol=1e-12)
 
 
-def test_scaled_reversion_grid_matches_adaptive(ctx_exp):
-    rng = np.random.default_rng(22)
-    s = rng.uniform(0.1, 2.5, size=16)
-    x = rng.uniform(0.01, 4.0, size=16)
-    fast = scaled_tail_grid(s, x, ctx_exp, reversion=True)
-    for a, b, fv in zip(s, x, fast):
-        exact = mean_reversion_drift(float(a), float(b), ctx_exp)
-        den = _scaled_survivor(float(a), float(b), ctx_exp)
-        slow = exact * den / float(b)
-        assert abs(fv - slow) < 1e-7 * max(abs(slow), 1e-6)
+def test_scaled_reversion_grid_matches_adaptive():
+    # The drift table at its nodes, every sixth level from the last one down
+    # to 1e-3, against the adaptive drift.  On uniform:0,3 at s = 2.5 the
+    # top levels put the boundary layer 9.6-12.6 times beyond the cut's z
+    # range, where the panels' short window under the layer is off by up to
+    # 2.2e-5 relative.
+    s = np.array([0.1, 0.5, 1.0, 1.7, 2.5])
+    for law, tol in (("exp:1.0", 1e-7), ("gamma:2,2", 1e-7),
+                     ("lognormal:0,0.5", 1e-7), ("uniform:0,3", 5e-5)):
+        ctx = ModelContext(_LAWS[law])
+        table = DriftTable.build(ctx, s)
+        for j in range(len(table.x_nodes) - 1, 0, -6):
+            xj = float(table.x_nodes[j])
+            for i, sv in enumerate(s):
+                exact = mean_reversion_drift(float(sv), xj, ctx)
+                assert abs(table.values[i, j] - exact) < tol * max(abs(exact), 1e-6), \
+                    (law, sv, xj)
 
 
-def test_compensator_weights_match_scalar(ctx_exp):
+def test_drift_table_rejects_levels_on_linear_rows():
+    # exp:1e-9 cuts near t = 2e10: against that z range the level 1e-3 falls
+    # on linear rows, where the drift integral has no boundary layer to
+    # resolve.
+    ctx = ModelContext(parse_distribution("exp:1e-9"))
+    with pytest.raises(DomainError, match="nonzero level"):
+        DriftTable.build(ctx, np.linspace(0.0, 2.0, 5))
+
+
+def test_compensator_weights_match_scalar():
     knots = np.linspace(0.0, 2.0, 9)
-    w = compensator_weights(ctx_exp, knots)
-    # time zero lies outside the law domain (0, t_cut): the weight is 0 there
-    assert w[0] == 0.0
-    for k, s in enumerate(knots[1:], start=1):
-        expect = float(ctx_exp.dist.density_f(s)) * inverse_survivor_density(
-            float(s), 0.0, ctx_exp)
-        assert abs(w[k] - expect) < 1e-7 * expect
+    for law in ("exp:1.0", "gamma:2,2", "lognormal:0,0.5", "uniform:0,3"):
+        ctx = ModelContext(_LAWS[law])
+        w = compensator_weights(ctx, knots)
+        # time zero lies outside the law domain (0, t_cut): the weight is 0 there
+        assert w[0] == 0.0
+        for k, s in enumerate(knots[1:], start=1):
+            expect = float(ctx.dist.density_f(s)) * inverse_survivor_density(
+                float(s), 0.0, ctx)
+            assert abs(w[k] - expect) < 1e-7 * expect, (law, s)
 
 
 def test_compensator_weights_masked_beyond_horizon(ctx_unif, ctx_exp):
@@ -449,21 +466,19 @@ def test_hazard_window_consistent_with_indicator_expectation(ctx_exp):
 @pytest.mark.parametrize("law", ["exp:1.0", "gamma:2,2", "lognormal:0,0.5",
                                  "uniform:0,3"])
 def test_survivor_panels_match_tail_grid(law):
-    # The panels' survivor is the plain grid route's, bit for bit, on
-    # linear rows (|x| <= 1e-9), log rows and layers beyond the cut.
+    # On linear rows (|x| <= 1e-9), log rows and layers beyond the cut, the
+    # sums below each row's top edge add up the survivor's panels in another
+    # order.
     ctx = ModelContext(_LAWS[law])
     cut = ctx.t_cut
     s = np.array([0.01, 0.3, 0.5 * cut, 0.9 * cut, 0.999 * cut, 0.2, 0.7, 1.1])
     x = np.array([0.0, -1e-9, 1e-12, 2.5, -0.3, 40.0, 0.0, -7.0])
     panels = SurvivorPanels.build(ctx, s, x)
-    grid = scaled_tail_grid(s, x, ctx)
-    assert panels.survivor.tobytes() == grid.tobytes()
     assert np.array_equal(panels.x, np.abs(x))
-    # the sums below the top edge add the same panels up in another order
     top = np.zeros(s.shape)
     for rows, _, _, below in panels.groups:
         top[rows] = below[:, -1]
-    np.testing.assert_allclose(top, grid, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(top, panels.survivor, rtol=1e-13, atol=0.0)
 
 
 def _level(kind, magnitude, h):
