@@ -73,7 +73,8 @@ def compensator_curve(path, lt, weights):
     (0, t_cut): it is zero at s = 0, so the step out of the time origin adds
     nothing (the local-time mass there carries total compensator weight
     F(dt), negligible at any usable step size), and zero from the tail cut
-    on.
+    on.  The sum runs over the path's ``live_steps`` only; K keeps its value
+    from the knot that ends the step holding the default time on.
 
     ``lt`` must be a local-time curve at level 0 on the same grid.
     """
@@ -82,8 +83,9 @@ def compensator_curve(path, lt, weights):
     if lt.values.shape != path.beta.shape or not np.array_equal(
             lt.grid.knots, path.grid.knots):
         raise DomainError("local-time curve lives on a different grid")
-    incr = weights[:-1] * np.diff(lt.values)
-    return np.concatenate([[0.0], np.cumsum(incr)])
+    n = path.live_steps
+    incr = weights[:n] * np.diff(lt.values[:n + 1])
+    return path.stopped(np.concatenate([[0.0], np.cumsum(incr)]))
 
 
 def _window_knots(path, ctx):

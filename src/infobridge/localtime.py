@@ -25,6 +25,7 @@ from .errors import DomainError
 from .paths import TimeGrid
 
 _GL_U, _GL_W = np.polynomial.legendre.leggauss(24)
+_GL_U1 = _GL_U + 1.0
 # A bridge step of length dt whose endpoints clear a level by more than its
 # crossing reach sqrt(14 dt) touches the level with probability exp(-28) ~ 1e-12.
 _CROSSING_REACH2 = 14.0
@@ -61,13 +62,13 @@ def _band_time_credits(a, b, spans, x, epsilon):
     gap = np.maximum(np.maximum(lo - (x + epsilon), (x - epsilon) - hi), 0.0)
     live = gap * gap <= _CROSSING_REACH2 * spans
     credits = np.zeros(len(spans))
-    if not np.any(live):
+    if not live.any():
         return credits
-    al, bl, sl = a[live], b[live], spans[live]
-    u = 0.5 * sl[:, None] * (_GL_U[None, :] + 1.0)
-    w = 0.5 * sl[:, None] * _GL_W[None, :]
-    mean = al[:, None] + (bl - al)[:, None] * u / sl[:, None]
-    sd = np.sqrt(np.maximum(u * (sl[:, None] - u) / sl[:, None], 1e-300))
+    al, bl, sl = a[live], b[live], spans[live][:, None]
+    u = 0.5 * sl * _GL_U1
+    w = 0.5 * sl * _GL_W
+    mean = al[:, None] + (bl - al)[:, None] * u / sl
+    sd = np.sqrt(np.maximum(u * (sl - u) / sl, 1e-300))
     prob = ndtr((x + epsilon - mean) / sd) - ndtr((x - epsilon - mean) / sd)
     credits[live] = np.sum(prob * w, axis=1)
     return credits
@@ -99,24 +100,65 @@ class BandCreditTable:
         spans = np.full(flat_a.shape, self.span)
         self.table = _band_time_credits(flat_a, flat_b, spans, 0.0,
                                         epsilon).reshape(aa.shape)
+        self._flat = self.table.ravel()
+        self._gaps = np.diff(self.nodes)
+        self._build_cells()
+
+    def _build_cells(self):
+        """Bucketed cell index: uniform buckets of the endpoint axis, each
+        holding at most ``len(self._bucket_nodes)`` nodes.
+
+        A query q falls in bucket j = int((q - lo) * inv_width), with the
+        same float operations as the nodes' own buckets, so j is monotone in
+        q: every node of an earlier bucket lies below q and every node of a
+        later one above it.  The cell of q, ``searchsorted(nodes, q) - 1``,
+        is then the count of nodes in earlier buckets, minus one, plus the
+        count of bucket j's own nodes that lie below q.
+        """
+        nodes = self.nodes
+        lo = nodes[0]
+        # half the smallest gap keeps one node per bucket on the tables'
+        # piecewise-uniform grids; the floor bounds the bucket count when
+        # two nodes nearly coincide
+        width = max(np.min(self._gaps) / 2.0, (nodes[-1] - lo) / (8 * len(nodes)))
+        self._lo, self._inv_width = lo, 1.0 / width
+        node_bucket = self._bucket(nodes)
+        buckets = np.arange(node_bucket[-1] + 1)
+        first = np.searchsorted(node_bucket, buckets)   # first node of bucket >= j
+        per_bucket = int(np.max(np.bincount(node_bucket)))
+        padded = np.concatenate([nodes, np.full(per_bucket, np.inf)])
+        self._cell_base = first - 1
+        self._bucket_nodes = [padded[first + r] for r in range(per_bucket)]
+
+    def _bucket(self, q):
+        return ((q - self._lo) * self._inv_width).astype(np.intp)
+
+    def _cell(self, q):
+        """``np.searchsorted(self.nodes, q) - 1`` for ``|q| < nodes[-1]``."""
+        j = self._bucket(q)
+        cell = self._cell_base[j]
+        for node in self._bucket_nodes:
+            cell += node[j] < q
+        return cell
 
     def credit(self, a, b):
         """Bilinear lookup of the expected band time for endpoint arrays."""
         lim = self.nodes[-1]
         out = np.zeros(a.shape)
         live = (np.abs(a) < lim) & (np.abs(b) < lim)
-        if not np.any(live):
+        if not live.any():
             return out
-        al, bl = a[live], b[live]
-        ia = np.clip(np.searchsorted(self.nodes, al) - 1, 0, len(self.nodes) - 2)
-        ib = np.clip(np.searchsorted(self.nodes, bl) - 1, 0, len(self.nodes) - 2)
-        wa = (al - self.nodes[ia]) / (self.nodes[ia + 1] - self.nodes[ia])
-        wb = (bl - self.nodes[ib]) / (self.nodes[ib + 1] - self.nodes[ib])
-        v = ((1 - wa) * (1 - wb) * self.table[ia, ib]
-             + wa * (1 - wb) * self.table[ia + 1, ib]
-             + (1 - wa) * wb * self.table[ia, ib + 1]
-             + wa * wb * self.table[ia + 1, ib + 1])
-        out[live] = v
+        q = np.concatenate((a[live], b[live]))   # both endpoints in one pass
+        cell = self._cell(q)
+        w = (q - self.nodes[cell]) / self._gaps[cell]
+        u = 1 - w
+        m = len(q) // 2
+        wa, wb, ua, ub = w[:m], w[m:], u[:m], u[m:]
+        row = len(self.nodes)
+        k = cell[:m] * row + cell[m:]
+        flat = self._flat
+        out[live] = (ua * ub * flat[k] + wa * ub * flat[k + row]
+                     + ua * wb * flat[k + 1] + wa * wb * flat[k + row + 1])
         return out
 
 
@@ -139,33 +181,33 @@ def occupation_estimate(path, x, epsilon, credit_table=None):
     maximum: the continuum path genuinely overshoots the knots, and clamping
     the credit at the knot maximum would break the occupation-time identity.
 
-    Credits are computed only on the steps whose left knot lies before the
-    default time, with the lengths ``path.spans``; with ``credit_table``
-    (built for this ``epsilon``) the full-length steps are looked up and the
-    partial step is integrated.
+    Credits are computed only on the path's ``live_steps``, the steps whose
+    left knot lies before the default time, with the lengths
+    ``path.spans``; the curve keeps its value after them.  With
+    ``credit_table`` (built for this ``epsilon``) the full-length steps are
+    looked up and the partial step is integrated.
     """
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if credit_table is not None and credit_table.epsilon != epsilon:
         raise DomainError(f"credit table is for epsilon {credit_table.epsilon}, "
                           f"not {epsilon}")
-    live = path.grid.knots[:-1] < path.tau
-    spans = path.spans[live]
-    a = path.beta[:-1][live]
-    b = path.beta[1:][live]
+    n = path.live_steps
+    spans = path.spans[:n]
+    a = path.beta[:n]
+    b = path.beta[1:n + 1]
     if credit_table is not None:
-        regular = np.abs(spans - credit_table.span) <= 1e-9 * credit_table.span
-        credits = np.zeros(len(spans))
-        credits[regular] = credit_table.credit(a[regular] - x, b[regular] - x)
-        if not np.all(regular):
-            irr = ~regular
+        # every credit depends on its own step alone: look all steps up, then
+        # integrate the irregular ones over their table values
+        credits = credit_table.credit(a - x, b - x)
+        irr = np.flatnonzero(np.abs(spans - credit_table.span)
+                             > 1e-9 * credit_table.span)
+        if len(irr):
             credits[irr] = _band_time_credits(a[irr], b[irr], spans[irr], x, epsilon)
     else:
         credits = _band_time_credits(a, b, spans, x, epsilon)
-    incr = np.zeros(len(live))
-    incr[live] = credits
-    values = np.concatenate([[0.0], np.cumsum(incr / (2.0 * epsilon))])
-    return LocalTimeCurve(float(x), path.grid, values)
+    head = np.concatenate([[0.0], np.cumsum(credits / (2.0 * epsilon))])
+    return LocalTimeCurve(float(x), path.grid, path.stopped(head))
 
 
 def tanaka_estimate(path, x, monotone=True):
@@ -173,15 +215,17 @@ def tanaka_estimate(path, x, monotone=True):
 
     Raw curve: |beta_t - x| - |beta_0 - x| - sum of sign(beta - x) increments,
     with sign(0) = -1.  With ``monotone=True`` (default) the curve is
-    projected onto its running maximum.
+    projected onto its running maximum.  The path is zero from the default
+    time on, so the sum runs over its ``live_steps`` and the curve keeps its
+    value after them.
     """
-    beta = path.beta
+    beta = path.beta[:path.live_steps + 1]
     centered = beta - x
     sgn = np.where(centered > 0.0, 1.0, -1.0)
     stoch = np.concatenate([[0.0], np.cumsum(sgn[:-1] * np.diff(beta))])
     raw = np.abs(centered) - abs(centered[0]) - stoch
-    values = np.maximum.accumulate(raw) if monotone else raw
-    return LocalTimeCurve(float(x), path.grid, values)
+    head = np.maximum.accumulate(raw) if monotone else raw
+    return LocalTimeCurve(float(x), path.grid, path.stopped(head))
 
 
 def level_grid(path, dx):

@@ -17,14 +17,22 @@ grid its caller passed in.  The grid step that contains the default time is
 a partial step: it ends at the default time with value zero, and its length
 (``InformationPath.spans``) is cut there, which keeps the frozen tail, the
 quadratic variation and the local time free of O(dt) bias at the default.
+No step after it moves the path, so ``sample_path_direct`` draws normals only
+through that step, and the per-path curves (local time, compensator) are
+computed on the first ``InformationPath.live_steps`` steps and held
+constant after them (``InformationPath.stopped``).
 
 Randomness comes from counter-based streams: path ``i`` of master seed ``m``
 uses a Philox generator keyed by the 128-bit pair (m, i), so ensembles are
 reproducible path-by-path no matter how work is scheduled across processes.
+How many normals a path draws depends on its default time, so a caller that
+passes one raw Generator to several calls gets later draws that depend on
+the earlier paths' default times; streams keyed per path are unaffected.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +109,16 @@ class InformationPath:
     beta: np.ndarray
     construction: str
 
+    @cached_property
+    def live_steps(self):
+        """Number of grid steps whose left knot lies before the default time.
+
+        These steps, the last of them the one holding the default time (or
+        the last grid step when the default lies beyond the horizon), are
+        the only ones that move the path, its local time or its compensator.
+        """
+        return int(np.searchsorted(self.grid.knots[:-1], self.tau))
+
     @property
     def spans(self):
         """Step lengths cut at the default time.
@@ -109,7 +127,19 @@ class InformationPath:
         length zero.
         """
         knots = self.grid.knots
-        return np.clip(np.minimum(knots[1:], self.tau) - knots[:-1], 0.0, None)
+        n = self.live_steps
+        out = np.zeros(len(knots) - 1)
+        out[:n] = np.minimum(knots[1:n + 1], self.tau) - knots[:n]
+        return out
+
+    def stopped(self, head):
+        """A curve on the path grid stopped at the default time: ``head``
+        holds its values on knots ``0 .. live_steps`` and the curve keeps
+        its last value after them."""
+        out = np.empty(len(self.grid.knots))
+        out[:len(head)] = head
+        out[len(head):] = head[-1]
+        return out
 
     def validate(self):
         """Check the exact-zero encoding of the default state."""
@@ -132,24 +162,34 @@ def sample_path_direct(ctx, grid, rng):
     """Draw the default time, then the bridge from raw Brownian increments.
 
     The draw order per stream is fixed: one uniform for the default time,
-    one standard normal per grid step, and one extra normal to reach the
-    default time when it lies beyond the grid horizon.  Inside the grid,
-    the normal of the step containing the default time also carries W from
-    the step's left knot to the default time.
+    then one standard normal per grid step up to and including the step
+    that holds the default time, or per grid step and one extra normal to
+    reach the default time when it lies beyond the grid horizon.  Inside the
+    grid, the normal of the step containing the default time also carries W
+    from the step's left knot to the default time.  Steps after it draw
+    nothing: the path is zero there.  A Generator's first m normals do not
+    depend on how many more it is asked for, so every drawn value, and the
+    path, is the one a draw of every grid step gives.
     """
     gen = _generator_of(rng)
     tau = ctx.dist.sample_tau(gen)
     knots = grid.knots
-    z = gen.standard_normal(len(knots) - 1)
-    w = np.concatenate([[0.0], np.cumsum(np.sqrt(np.diff(knots)) * z)])
+    path = InformationPath(tau, grid, np.zeros(len(knots)), "direct")
+    n = path.live_steps
+    if n == 0:  # tau = 0: the path starts in default
+        return path
+    z = gen.standard_normal(n)
+    w = np.empty(n + 1)
+    w[0] = 0.0
+    np.cumsum(np.sqrt(np.diff(knots[:n + 1])) * z, out=w[1:])
     if tau <= grid.t_max:
-        k = max(int(np.searchsorted(knots, tau)) - 1, 0)
-        w_tau = w[k] + math.sqrt(tau - knots[k]) * z[k]
+        w_tau = w[n - 1] + math.sqrt(tau - knots[n - 1]) * z[n - 1]
+        m = n  # knots before tau; knot n is at or past it
     else:
         w_tau = w[-1] + math.sqrt(tau - grid.t_max) * gen.standard_normal()
-    beta = np.where(knots < tau, w - knots / tau * w_tau, 0.0)
-    beta[0] = 0.0
-    return InformationPath(tau, grid, beta, "direct")
+        m = n + 1
+    path.beta[1:m] = w[1:m] - knots[1:m] / tau * w_tau
+    return path
 
 
 def sample_path_given_tau(r, ctx, grid, rng):

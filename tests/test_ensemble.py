@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from infobridge import ensemble
 from infobridge.compensator import build_curve
 from infobridge.config import RunConfig
 from infobridge.distributions import DefaultDistribution
@@ -69,6 +71,29 @@ def test_table_matches_per_path_module(ctx, job, table):
             assert curve.at(curve.K, t) == table.K[i, j]
         for j, s in enumerate(job.s_nodes):
             assert p.beta[p.grid.index_of(s)] == table.beta[i, j]
+
+
+class _ZeroUniform:
+    """Generator stand-in whose uniform draw is exactly 0.0."""
+
+    def random(self):
+        return 0.0
+
+
+@pytest.mark.parametrize("estimator", ["occupation", "tanaka"])
+def test_default_at_time_zero_row(ctx, estimator, monkeypatch):
+    # tau = 0 is a path that starts in default: H = 1 and K = 0 everywhere.
+    cfg = RunConfig(dt=0.01, t_max=1.5, lt_estimator=estimator, kh=(0.2,),
+                    report_times=(0.5, 1.0), residual_pairs=((0.5, 1.0),))
+    job = build_job(ctx, TimeGrid.regular(cfg.t_max, cfg.dt), cfg)
+    monkeypatch.setattr(ensemble, "RandomStream", lambda seed, i: _ZeroUniform())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = run_ensemble(job, 1, workers=1)
+    assert row.tau[0] == 0.0
+    assert np.all(row.H == 1.0)
+    assert np.all(row.K == 0.0) and np.all(row.Kh == 0.0)
+    assert np.all(row.beta == 0.0)
 
 
 def test_summary_matches_numpy_oracle(ctx, table):

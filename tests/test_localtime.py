@@ -22,6 +22,8 @@ from infobridge.paths import (
     sample_path_given_tau,
 )
 
+from oracles import searchsorted_credit
+
 
 @pytest.fixture(scope="module")
 def ctx_exp():
@@ -58,6 +60,27 @@ def test_occupation_rejects_credit_table_for_other_epsilon():
     table = BandCreditTable(1.0 / 512.0, 0.1)
     with pytest.raises(DomainError):
         occupation_estimate(_ramp_path(), 0.0, 0.25, credit_table=table)
+
+
+@pytest.mark.parametrize("dt, coeff", [(2.5e-4, 0.2), (0.01, 1.0), (0.005, 1.0)])
+def test_bucketed_cell_index_matches_searchsorted(dt, coeff):
+    table = BandCreditTable(dt, coeff * math.sqrt(dt))
+    nodes = table.nodes
+    lim = nodes[-1]
+    rng = np.random.default_rng(4242)
+    q = np.concatenate([
+        rng.uniform(-lim, lim, 200_000),
+        nodes[1:-1],
+        np.nextafter(nodes, -np.inf),
+        np.nextafter(nodes, np.inf),
+    ])
+    q = q[np.abs(q) < lim]
+    assert np.array_equal(table._cell(q), np.searchsorted(nodes, q) - 1)
+    # the lookup equals the searchsorted bilinear formula bit for bit
+    a = rng.uniform(-1.1 * lim, 1.1 * lim, 50_000)
+    b = np.concatenate([a[1:] + rng.normal(0.0, math.sqrt(dt), len(a) - 1), q[:1]])
+    for x, y in ((a, b), (q, q[::-1]), (q, np.roll(q, 7))):
+        assert table.credit(x, y).tobytes() == searchsorted_credit(table, x, y).tobytes()
 
 
 def test_tanaka_raw_is_zero_for_constant_sign(ctx_exp):

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from infobridge.distributions import DefaultDistribution
+from infobridge.distributions import DefaultDistribution, parse_distribution
 from infobridge.errors import DomainError
 from infobridge.laws import DriftTable, ModelContext
 from infobridge.paths import (
@@ -69,6 +70,30 @@ def test_direct_path_zero_after_default(ctx_exp):
         after = p.beta[p.grid.knots >= p.tau]
         assert np.all(after == 0.0)
         p.validate()
+
+
+class ZeroUniform:
+    """Generator stand-in whose uniform draw is exactly 0.0."""
+
+    def random(self):
+        return 0.0
+
+    def standard_normal(self, size=None):
+        raise AssertionError("a path that starts in default draws no normals")
+
+
+@pytest.mark.parametrize("law", ["exp:1.0", "gamma:2,2", "lognormal:0,0.5",
+                                 "uniform:0,0.5"])
+def test_default_at_time_zero_gives_the_zero_path(law):
+    ctx = ModelContext(parse_distribution(law))
+    grid = TimeGrid.regular(1.0, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = sample_path_direct(ctx, grid, ZeroUniform())
+    assert p.tau == 0.0 and p.live_steps == 0
+    assert p.beta.tobytes() == np.zeros(len(grid.knots)).tobytes()
+    assert not np.any(p.spans)
+    p.validate()
 
 
 def test_direct_path_bit_identical_reruns(ctx_exp):
