@@ -46,15 +46,14 @@ from .localtime import (
 )
 from .compensator import (
     CompensatorCurve,
-    EnsembleReport,
     averaged_gaussian_kernel,
     build_curve,
     compensator_curve,
     indicator_curve,
     laplacian_approximation,
-    parse_functional,
     window_survivor,
 )
+from .ensemble import EnsembleReport, parse_functional
 from .paths import (
     InformationPath,
     RandomStream,

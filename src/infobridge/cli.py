@@ -93,11 +93,11 @@ def cmd_survival(cfg, t, x):
     us = grid.knots[grid.knots >= t]
     if us[0] != t:
         us = np.concatenate([[t], us])
+    probs = [laws.survival_probability(t, float(u), x, ctx) for u in us]
     out = _outdir(cfg)
     with open(os.path.join(out, "survival.csv"), "w", newline="") as fh:
         fh.write("u,P_tau_gt_u\n")
-        for u in us:
-            p = laws.survival_probability(t, float(u), x, ctx)
+        for u, p in zip(us, probs):
             fh.write(f"{_fmt(u)},{_fmt(p)}\n")
     return EXIT_OK
 
@@ -105,18 +105,19 @@ def cmd_survival(cfg, t, x):
 def _gate_lines(report):
     mult = report.gate_multiplier
     lines = []
-    for kind, j, gap, bound, ok in report.gates():
-        verdict, t = ("PASS" if ok else "FAIL"), report.times[j]
+    for kind, i, gap, bound, ok in report.gates():
+        verdict = "PASS" if ok else "FAIL"
         if kind == "F":
-            lines.append(f"{verdict} mean_K vs F(t) at t={t:g}: "
-                         f"|{report.mean_K[j]:.6f} - {report.F[j]:.6f}| = {gap:.6f} "
+            lines.append(f"{verdict} mean_K vs F(t) at t={report.times[i]:g}: "
+                         f"|{report.mean_K[i]:.6f} - {report.F[i]:.6f}| = {gap:.6f} "
                          f"<= {bound:.6f}")
-        else:
-            lines.append(f"{verdict} mean_K vs mean_H at t={t:g}: "
+        elif kind == "H":
+            lines.append(f"{verdict} mean_K vs mean_H at t={report.times[i]:g}: "
                          f"gap = {gap:.6f} <= {bound:.6f}")
-    for (s, t, label, res, se, ok) in report.residuals:
-        lines.append(f"{'PASS' if ok else 'FAIL'} residual (s={s:g}, t={t:g}, "
-                     f"{label}): {res:+.6f} within {mult:g} x {se:.6f}")
+        else:
+            s, t, label, res, se = report.residual_stats[i]
+            lines.append(f"{verdict} residual (s={s:g}, t={t:g}, {label}): "
+                         f"{res:+.6f} within {mult:g} x {se:.6f}")
     return lines, report.all_gates_pass()
 
 

@@ -13,20 +13,20 @@ with the window approximation
 
     K^h_t = integral of (1/h) P(default in (s, s+h) | state at s) ds
 
-whose h -> 0 limit recovers K.  It also holds the test functionals and the
-EnsembleReport with its gate verdict; the reductions that fill the report
-work on the ensemble's statistics table (``ensemble.summarize_table``).
+whose h -> 0 limit recovers K, and the averaged Gaussian kernel that stands
+in for the local-time measure in that limit.  The martingale test itself
+(functionals, reductions and the gate verdict) lives in ``ensemble``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx
 
 from . import laws
 from .errors import DomainError
 from .paths import TimeGrid
-from .quadrature import integrate_finite
 
 __all__ = [
     "CompensatorCurve",
@@ -36,8 +36,6 @@ __all__ = [
     "window_survivor",
     "averaged_gaussian_kernel",
     "build_curve",
-    "parse_functional",
-    "EnsembleReport",
 ]
 
 
@@ -80,8 +78,8 @@ def compensator_curve(path, lt, weights):
     """
     if lt.x != 0.0:
         raise DomainError(f"compensator needs the local time at level 0, got {lt.x}")
-    if lt.values.shape != path.beta.shape or not np.array_equal(
-            lt.grid.knots, path.grid.knots):
+    if lt.values.shape != path.beta.shape or not (
+            lt.grid is path.grid or np.array_equal(lt.grid.knots, path.grid.knots)):
         raise DomainError("local-time curve lives on a different grid")
     n = path.live_steps
     incr = weights[:n] * np.diff(lt.values[:n + 1])
@@ -138,94 +136,21 @@ def laplacian_approximation(path, h, ctx, survivor):
     return np.concatenate([[0.0], np.cumsum(incr)])
 
 
-def averaged_gaussian_kernel(h, x, spec=None):
+def averaged_gaussian_kernel(h, x):
     """Average over u in (0, h] of the centered Gaussian density at x.
 
     A probability density in x for every h in (0, 1]; concentrates to the
-    Dirac mass at zero as h shrinks.  Evaluated by quadrature after the
-    substitution u = z**2, which removes the u**-0.5 endpoint behavior.
+    Dirac mass at zero as h shrinks.  Closed form, with a = |x|/sqrt(2h):
+    exp(-a^2) (sqrt(2h/pi) - |x| erfcx(a)) / h.
     """
     if not (0.0 < h <= 1.0):
         raise DomainError(f"kernel lag must lie in (0, 1], got {h}")
-    x2 = x * x
-
-    def integrand(u):
-        return math.exp(-0.5 * math.log(2.0 * math.pi * u) - x2 / (2.0 * u))
-
-    pts = None if x == 0.0 else [x2 / 16.0, x2, min(16.0 * x2, h)]
-    val, _ = integrate_finite(integrand, 0.0, h, singular_at_a=True,
-                              interior_points=pts)
-    return val / h
+    ax = abs(x)
+    a = ax / math.sqrt(2.0 * h)
+    return math.exp(-a * a) * (math.sqrt(2.0 * h / math.pi) - ax * float(erfcx(a))) / h
 
 
 def build_curve(path, lt, weights):
     """Assemble the per-path curve bundle (indicator and compensator)."""
     K = compensator_curve(path, lt, weights)
     return CompensatorCurve(path.grid, path.tau, indicator_curve(path), K)
-
-
-# ---------------------------------------------------------------------------
-# martingale tests: functionals and the gate verdict
-# ---------------------------------------------------------------------------
-
-def parse_functional(text):
-    """Functional of the information value used in martingale tests.
-
-    ``one`` (constant), ``abs_beta`` (absolute value), or
-    ``indicator_beta_above:<c>``.  Returns (label, callable on arrays).
-    """
-    text = text.strip()
-    if text == "one":
-        return "one", lambda b: np.ones_like(b)
-    if text == "abs_beta":
-        return "abs_beta", np.abs
-    if text.startswith("indicator_beta_above:"):
-        try:
-            c = float(text.split(":", 1)[1])
-        except ValueError:
-            c = math.nan  # reported with the non-finite thresholds below
-        if not math.isfinite(c):
-            raise DomainError(f"bad threshold in functional {text!r}")
-        return f"indicator_beta_above({c:g})", lambda b: (b > c).astype(float)
-    raise DomainError(f"unknown functional {text!r}")
-
-
-@dataclass(frozen=True)
-class EnsembleReport:
-    """Cross-path summary: per-time means/errors and the residual test table."""
-
-    times: np.ndarray
-    mean_H: np.ndarray
-    mean_K: np.ndarray
-    F: np.ndarray
-    stderr_H: np.ndarray
-    stderr_K: np.ndarray
-    n_paths: int
-    residuals: list = field(default_factory=list)
-    # residual rows: (s, t, label, residual, stderr, passed)
-    gate_multiplier: float = 3.0
-
-    def gates(self):
-        """Verdict on the mean gates, one ``(kind, j, gap, bound, ok)`` row each.
-
-        For report time ``times[j]``, kind ``"F"`` compares |mean_K - F(t)|
-        with ``gate_multiplier`` standard errors of mean_K, and kind ``"H"``
-        compares |mean_K - mean_H| with ``gate_multiplier`` combined standard
-        errors.  A gate passes when its gap is at most its bound, so a NaN gap
-        fails.  Residual gates are decided where the residuals are reduced
-        and carried in ``residuals``.
-        """
-        mult = self.gate_multiplier
-        rows = []
-        for j in range(len(self.times)):
-            gap = abs(self.mean_K[j] - self.F[j])
-            bound = mult * self.stderr_K[j]
-            rows.append(("F", j, gap, bound, bool(gap <= bound)))
-            gap = abs(self.mean_K[j] - self.mean_H[j])
-            bound = mult * math.hypot(self.stderr_H[j], self.stderr_K[j])
-            rows.append(("H", j, gap, bound, bool(gap <= bound)))
-        return rows
-
-    def all_gates_pass(self):
-        return (all(row[4] for row in self.gates())
-                and all(row[5] for row in self.residuals))

@@ -10,7 +10,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .compensator import parse_functional
+from .ensemble import parse_functional
 from .errors import ConfigError, DomainError
 from .paths import TimeGrid
 

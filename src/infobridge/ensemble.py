@@ -8,8 +8,9 @@ the worker count, and blocks are written back by chunk index, so the
 assembled arrays — and every CSV derived from them — are bit-identical no
 matter how many processes run the job.
 
-The reductions (means, standard errors, martingale residuals) work on the
-assembled table; they are the only route from paths to an EnsembleReport.
+The reductions (means, standard errors, martingale residuals of the test
+functionals) work on the assembled table; they are the only route from paths
+to an EnsembleReport, whose ``gates()`` list is the one martingale verdict.
 """
 
 import math
@@ -19,13 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import laws
-from .compensator import (
-    EnsembleReport,
-    compensator_curve,
-    laplacian_approximation,
-    parse_functional,
-    window_survivor,
-)
+from .compensator import compensator_curve, laplacian_approximation, window_survivor
 from .errors import ConfigError, DomainError, InsufficientPaths
 from .localtime import BandCreditTable, occupation_estimate, tanaka_estimate
 from .paths import RandomStream, sample_path_direct
@@ -36,6 +31,8 @@ __all__ = [
     "build_job",
     "run_ensemble",
     "resolve_workers",
+    "parse_functional",
+    "EnsembleReport",
     "table_martingale_residual",
     "summarize_table",
     "write_paths_csv",
@@ -237,21 +234,88 @@ def run_ensemble(job, n_paths, workers=None):
 
 
 # ---------------------------------------------------------------------------
-# reductions
+# martingale test: functionals, reductions and the gate verdict
 # ---------------------------------------------------------------------------
+
+def parse_functional(text):
+    """Functional of the information value used in martingale tests.
+
+    ``one`` (constant), ``abs_beta`` (absolute value), or
+    ``indicator_beta_above:<c>``.  Returns (label, callable on arrays).
+    """
+    text = text.strip()
+    if text == "one":
+        return "one", lambda b: np.ones_like(b)
+    if text == "abs_beta":
+        return "abs_beta", np.abs
+    if text.startswith("indicator_beta_above:"):
+        try:
+            c = float(text.split(":", 1)[1])
+        except ValueError:
+            c = math.nan  # reported with the non-finite thresholds below
+        if not math.isfinite(c):
+            raise DomainError(f"bad threshold in functional {text!r}")
+        return f"indicator_beta_above({c:g})", lambda b: (b > c).astype(float)
+    raise DomainError(f"unknown functional {text!r}")
+
+
+@dataclass(frozen=True)
+class EnsembleReport:
+    """Cross-path summary: per-time means/errors and the residual statistics."""
+
+    times: np.ndarray
+    mean_H: np.ndarray
+    mean_K: np.ndarray
+    F: np.ndarray
+    stderr_H: np.ndarray
+    stderr_K: np.ndarray
+    n_paths: int
+    residual_stats: tuple = ()          # rows (s, t, label, residual, stderr)
+    gate_multiplier: float = 3.0
+
+    def gates(self):
+        """Every gate of the report, one ``(kind, i, gap, bound, ok)`` row each.
+
+        Per report time ``times[i]``, kind ``"F"`` bounds |mean_K - F(t)| by
+        ``gate_multiplier`` standard errors of mean_K and kind ``"H"`` bounds
+        |mean_K - mean_H| by as many combined ones; then kind ``"residual"``
+        bounds |residual| of ``residual_stats[i]`` by as many of its own.  A
+        gate passes when its gap is at most its bound, so a NaN gap fails.
+        """
+        mult = self.gate_multiplier
+        rows = []
+        for j in range(len(self.times)):
+            rows.append(("F", j, abs(self.mean_K[j] - self.F[j]),
+                         mult * self.stderr_K[j]))
+            rows.append(("H", j, abs(self.mean_K[j] - self.mean_H[j]),
+                         mult * math.hypot(self.stderr_H[j], self.stderr_K[j])))
+        rows += [("residual", i, abs(res), mult * se)
+                 for i, (_, _, _, res, se) in enumerate(self.residual_stats)]
+        return [(kind, i, gap, bound, bool(gap <= bound))
+                for kind, i, gap, bound in rows]
+
+    @property
+    def residuals(self):
+        """Residual rows ``(s, t, label, residual, stderr, passed)``."""
+        oks = [ok for kind, *_, ok in self.gates() if kind == "residual"]
+        return [row + (ok,) for row, ok in zip(self.residual_stats, oks)]
+
+    def all_gates_pass(self):
+        return all(ok for *_, ok in self.gates())
+
 
 def table_martingale_residual(table, s, t, functional):
     """Monte Carlo test statistic for the compensated-indicator martingale.
 
     The sample mean over paths of ((H_t - K_t) - (H_s - K_s)) * Z_s, with Z_s
-    the chosen functional of the information value at s, returned with its
-    standard error.  Small for every adapted functional exactly when K
-    compensates H.
+    the functional of the information value at s named by the spec string
+    ``functional`` (``parse_functional``), returned with its standard error.
+    Small for every adapted functional exactly when K compensates H.
     """
     if not (0.0 < s < t):
         raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
     _check_paths(table.n_paths)
-    label, fn = functional if isinstance(functional, tuple) else parse_functional(functional)
+    _, fn = parse_functional(functional)
     js, jt = table.time_index(s), table.time_index(t)
     z = fn(table.beta[:, table.s_index(s)])
     ys = ((table.H[:, jt] - table.K[:, jt]) - (table.H[:, js] - table.K[:, js])) * z
@@ -267,9 +331,9 @@ def summarize_table(table, ctx, report_times, residual_matrix=(),
                     functionals=("one",), gate_multiplier=3.0):
     """EnsembleReport from a statistics table at the report times.
 
-    ``residual_matrix`` is a sequence of (s, t) pairs; every configured
-    functional is tested on each pair, and a residual passes when it is at
-    most ``gate_multiplier`` standard errors from zero.
+    ``residual_matrix`` is a sequence of (s, t) pairs; every functional spec
+    in ``functionals`` is tested on each pair, and the report's gates decide
+    each residual against ``gate_multiplier`` standard errors.
     """
     if table.n_paths < 1:
         raise InsufficientPaths("empty ensemble")
@@ -278,12 +342,9 @@ def summarize_table(table, ctx, report_times, residual_matrix=(),
     hs = table.H[:, cols]
     ks = table.K[:, cols]
     n = table.n_paths
-    rows = []
-    for (s, t) in residual_matrix:
-        for spec in functionals:
-            label, fn = parse_functional(spec) if isinstance(spec, str) else spec
-            res, se = table_martingale_residual(table, s, t, (label, fn))
-            rows.append((s, t, label, res, se, abs(res) <= gate_multiplier * se))
+    stats = tuple((s, t, parse_functional(spec)[0],
+                   *table_martingale_residual(table, s, t, spec))
+                  for (s, t) in residual_matrix for spec in functionals)
     return EnsembleReport(
         times=times,
         mean_H=hs.mean(axis=0),
@@ -292,7 +353,7 @@ def summarize_table(table, ctx, report_times, residual_matrix=(),
         stderr_H=hs.std(axis=0, ddof=1) / math.sqrt(n),
         stderr_K=ks.std(axis=0, ddof=1) / math.sqrt(n),
         n_paths=n,
-        residuals=rows,
+        residual_stats=stats,
         gate_multiplier=gate_multiplier,
     )
 

@@ -181,6 +181,16 @@ def _scaled_survivor(s, x, ctx):
     return val
 
 
+def _survivor_denominator(s, x, ctx):
+    """``_scaled_survivor`` as the denominator of a conditional law; a state
+    where it underflows to 0 (exp:1.0 at s = 0.5 from |x| ~ 170.5 on) has no
+    representable conditional law."""
+    val = _scaled_survivor(s, x, ctx)
+    if val == 0.0:
+        raise DomainError(f"survivor density at s={s}, x={x} underflows to 0")
+    return val
+
+
 def survivor_density(s, x, ctx):
     """Joint density of {information value = x, no default by s}.
 
@@ -238,7 +248,7 @@ def posterior_density(t, r, x, ctx):
     if fr == 0.0:
         return 0.0
     log_post = (_log_scaled_bridge(t, r, x) + math.log(fr)
-                - math.log(_scaled_survivor(t, x, ctx)))
+                - math.log(_survivor_denominator(t, x, ctx)))
     if log_post < -690.0:
         return 0.0
     val = math.exp(log_post)
@@ -261,7 +271,7 @@ def conditional_expectation(g_of_tau, t, x, ctx, g_breakpoints=None):
     def integrand(v):
         return g_of_tau(v) * base(v)
 
-    denom = _scaled_survivor(t, x, ctx)
+    denom = _survivor_denominator(t, x, ctx)
     if not math.isfinite(ctx.dist.t1):
         # Preflight at the truncation point: the cut only bounds the tail
         # if the integrand is already negligible out there.
@@ -294,7 +304,7 @@ def survival_probability(t, u, x, ctx):
     if u == t:
         return 1.0
     num = _tail(_scaled_survivor_integrand(t, x, ctx), u, ctx)
-    return min(1.0, max(0.0, num / _scaled_survivor(t, x, ctx)))
+    return min(1.0, max(0.0, num / _survivor_denominator(t, x, ctx)))
 
 
 def mean_reversion_drift(s, x, ctx):
@@ -314,7 +324,7 @@ def mean_reversion_drift(s, x, ctx):
         return base(v) / (v - s)
 
     num = _tail(integrand, s, ctx, _layer_points(s, x))
-    return x * num / _scaled_survivor(s, x, ctx)
+    return x * num / _survivor_denominator(s, x, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,14 @@ def test_survival_domain_errors(tmp_path):
     assert main(far + ["--dist", "uniform:0,2", "--t", "2"]) == 2
 
 
+def test_survival_with_underflowing_survivor_exits_2(tmp_path):
+    base = ["survival", "--dist", "exp:1.0", "--dt", "0.5", "--t-max", "2.5",
+            "--t", "0.5", "--out", str(tmp_path)]
+    assert main(base + ["--x", "200"]) == 2
+    assert not (tmp_path / "survival.csv").exists()
+    assert main(base + ["--x", "150"]) == 0
+
+
 def _compensator_cfg(tmp_path, **extra):
     lines = {
         "dist": "exp:1.0", "dt": "0.005", "t_max": "1.0", "paths": "600",

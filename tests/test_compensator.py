@@ -7,19 +7,19 @@ from scipy import stats
 
 from infobridge.cli import _gate_lines
 from infobridge.compensator import (
-    EnsembleReport,
     averaged_gaussian_kernel,
     compensator_curve,
     indicator_curve,
     laplacian_approximation,
-    parse_functional,
     window_survivor,
 )
 from infobridge.config import RunConfig
 from infobridge.distributions import DefaultDistribution
 from infobridge.ensemble import (
+    EnsembleReport,
     EnsembleTable,
     build_job,
+    parse_functional,
     run_ensemble,
     summarize_table,
     table_martingale_residual,
@@ -180,11 +180,18 @@ def test_kernel_is_probability_density(h):
     assert abs(2.0 * val - 1.0) < 1e-6
 
 
+def _kernel_reference(h, x):
+    return (2.0 * h * math.exp(-x * x / (2 * h)) / math.sqrt(2 * math.pi * h)
+            - 2.0 * abs(x) * stats.norm.sf(abs(x) / math.sqrt(h))) / h
+
+
 def test_kernel_matches_closed_form():
-    for h, x in ((0.3, 0.2), (1.0, 0.0), (0.05, 0.4), (0.7, -1.1)):
-        closed = (2.0 * h * math.exp(-x * x / (2 * h)) / math.sqrt(2 * math.pi * h)
-                  - 2.0 * abs(x) * stats.norm.sf(abs(x) / math.sqrt(h))) / h
-        assert abs(averaged_gaussian_kernel(h, x) - closed) < 1e-10
+    for h, x in ((0.3, 0.2), (1.0, 0.0), (0.05, 0.4), (0.7, -1.1),
+                 (1.0, 1e-6), (0.3, 1e-6)):
+        assert abs(averaged_gaussian_kernel(h, x) - _kernel_reference(h, x)) < 1e-10
+    # Far in the tail the value is about 1e-107: compare relatively.
+    closed = _kernel_reference(0.01, 2.2)
+    assert abs(averaged_gaussian_kernel(0.01, 2.2) - closed) <= 1e-9 * closed
 
 
 def test_kernel_vanishes_away_from_zero_as_h_shrinks():
@@ -263,6 +270,31 @@ def test_nan_mean_fails_gates():
     lines, ok = _gate_lines(rep)
     assert ok is False
     assert [line.split()[0] for line in lines] == ["FAIL", "FAIL"]
+
+
+def test_gate_lines_of_a_hand_built_report():
+    # Two report times (one passing, one failing) and three residual rows:
+    # a pass, a fail and a NaN residual, which must fail.
+    rep = EnsembleReport(
+        times=np.array([0.5, 1.0]), mean_H=np.array([0.4, 0.62]),
+        mean_K=np.array([0.39, 0.7]), F=np.array([0.393469, 0.632121]),
+        stderr_H=np.array([0.01, 0.012]), stderr_K=np.array([0.008, 0.01]),
+        n_paths=400,
+        residual_stats=((0.25, 0.75, "one", 0.004, 0.003),
+                        (0.5, 1.0, "abs_beta", -0.05, 0.01),
+                        (1.0, 2.0, "indicator_beta_above(0.2)", math.nan, 0.002)))
+    lines, ok = _gate_lines(rep)
+    assert lines == [
+        "PASS mean_K vs F(t) at t=0.5: |0.390000 - 0.393469| = 0.003469 <= 0.024000",
+        "PASS mean_K vs mean_H at t=0.5: gap = 0.010000 <= 0.038419",
+        "FAIL mean_K vs F(t) at t=1: |0.700000 - 0.632121| = 0.067879 <= 0.030000",
+        "FAIL mean_K vs mean_H at t=1: gap = 0.080000 <= 0.046861",
+        "PASS residual (s=0.25, t=0.75, one): +0.004000 within 3 x 0.003000",
+        "FAIL residual (s=0.5, t=1, abs_beta): -0.050000 within 3 x 0.010000",
+        "FAIL residual (s=1, t=2, indicator_beta_above(0.2)): +nan within 3 x 0.002000",
+    ]
+    assert ok is False
+    assert [row[5] for row in rep.residuals] == [True, False, False]
 
 
 def test_parse_functional():

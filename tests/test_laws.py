@@ -184,6 +184,26 @@ def test_posterior_far_tail_flushes_to_zero(ctx_exp):
     assert posterior_density(1.0, 1.0 + 1e-13, 60.0, ctx_exp) == 0.0
 
 
+def test_underflowing_survivor_is_a_domain_error(ctx_exp):
+    # On exp:1.0 at s = 0.5 the scaled survivor underflows to 0 from
+    # |x| ~ 170.5 on: the conditional laws raise, the densities do not.
+    s, x = 0.5, 200.0
+    for law in (lambda: survival_probability(s, 1.0, x, ctx_exp),
+                lambda: posterior_density(s, 1.0, x, ctx_exp),
+                lambda: mean_reversion_drift(s, x, ctx_exp),
+                lambda: conditional_expectation(lambda r: r, s, x, ctx_exp)):
+        with pytest.raises(DomainError, match="underflows"):
+            law()
+    assert survivor_density(s, x, ctx_exp) == 0.0
+    assert inverse_survivor_density(s, x, ctx_exp) == math.inf
+    assert survivor_density_floor(0.4, s, x, ctx_exp) == 0.0
+    x = 150.0
+    assert 0.0 <= survival_probability(s, 1.0, x, ctx_exp) <= 1.0
+    assert posterior_density(s, 1.0, x, ctx_exp) >= 0.0
+    assert math.isfinite(mean_reversion_drift(s, x, ctx_exp))
+    assert math.isfinite(conditional_expectation(lambda r: r, s, x, ctx_exp))
+
+
 # -- conditional expectation and survival -------------------------------------
 
 def test_conditional_expectation_of_one(ctx_exp):
