@@ -89,7 +89,7 @@ def compensator_curve(path, lt, weights):
 def _window_knots(path, ctx):
     """Left knots of the steps that carry a window rate: positive knots
     before both the default time and the tail cut."""
-    left = np.arange(1, len(path.spans))
+    left = np.arange(1, len(path.grid.knots) - 1)
     return left[path.grid.knots[left] < min(path.tau, ctx.t_cut)]
 
 

@@ -46,16 +46,25 @@ window numerator over (s, s + h) is not a third integral: it is a partial
 sum of the survivor's own panels plus one panel up to s + h.  The drift
 table takes survivor and drift terms from one kernel pass per column.  The
 two routes are cross-checked in the test suite.
+
+Every panel kernel runs in row tiles of at most ``quadrature.TILE_ELEMENTS``
+(rows x nodes) elements, 64 KiB per temporary, and writes each tile's row
+sums into outputs allocated once.  A window path's survivor spans about 36k
+(rows x nodes) elements and the weights on a fine grid millions; whole
+arrays that size lie above the allocator's mmap threshold and would be
+mapped and page-faulted afresh on every call.  Each row sums the same nodes
+in the same order whatever the tiling, so the results do not depend on it.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .distributions import DefaultDistribution
 from .errors import DomainError, IntegrabilityError
-from .quadrature import QuadratureSpec, integrate_semi_infinite
+from .quadrature import QuadratureSpec, integrate_semi_infinite, row_tiles
 
 __all__ = [
     "ModelContext",
@@ -88,10 +97,10 @@ class ModelContext:
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @property
+    @cached_property
     def t_cut(self):
         """Where every tail integral against f stops; the law domain is
-        (0, t_cut)."""
+        (0, t_cut).  Computed once per context."""
         return self.dist.tail_cut(self.quad.tail_cutoff_mass)
 
     def _check_interior_time(self, s, name="s"):
@@ -181,13 +190,19 @@ def _scaled_survivor(s, x, ctx):
     return val
 
 
+_SURVIVOR_TINY = np.finfo(float).tiny
+
+
 def _survivor_denominator(s, x, ctx):
-    """``_scaled_survivor`` as the denominator of a conditional law; a state
-    where it underflows to 0 (exp:1.0 at s = 0.5 from |x| ~ 170.5 on) has no
-    representable conditional law."""
+    """``_scaled_survivor`` as the denominator of a conditional law.  A state
+    where it underflows below the smallest normal float (exp:1.0 at s = 0.5
+    from |x| ~ 167 on) has no representable conditional law: the subnormal
+    denominator has lost precision against its numerators, and further out
+    it is 0."""
     val = _scaled_survivor(s, x, ctx)
-    if val == 0.0:
-        raise DomainError(f"survivor density at s={s}, x={x} underflows to 0")
+    if val < _SURVIVOR_TINY:
+        raise DomainError(f"survivor density at s={s}, x={x} underflows "
+                          f"below the smallest normal float")
     return val
 
 
@@ -452,12 +467,16 @@ class SurvivorPanels:
         survivor = np.zeros(s.shape)
         groups = []
         for rows, log, edges in _tail_layout(s, x, ctx):
-            terms = _panel_terms(edges, log, s[rows], x[rows], ctx.dist.density_f)
-            survivor[rows] = np.sum(terms, axis=1)
+            s_g, x_g = s[rows], x[rows]
             n, n_panels = edges.shape[0], edges.shape[1] - 1
+            total, panel = np.empty(n), np.empty((n, n_panels))
+            for t in row_tiles(n, n_panels * _GL_X.size):
+                terms = _panel_terms(edges[t], log, s_g[t], x_g[t], ctx.dist.density_f)
+                total[t] = np.sum(terms, axis=1)
+                panel[t] = terms.reshape(-1, n_panels, _GL_X.size).sum(axis=2)
+            survivor[rows] = total
             below = np.zeros(edges.shape)
-            np.cumsum(terms.reshape(n, n_panels, -1).sum(axis=2), axis=1,
-                      out=below[:, 1:])
+            np.cumsum(panel, axis=1, out=below[:, 1:])
             groups.append((rows, log, edges, below))
         return cls(s, x, survivor, tuple(groups))
 
@@ -524,9 +543,12 @@ def hazard_window_rates(ctx, panels, h):
         if log:  # the layer beyond the window's end, as in _tail_layout
             start = np.where(edges[:, 0] < target - 1e-12, start,
                              target - _UNDER_LAYER)
-        last = _panel_terms(np.stack([start, target], axis=1), log, s_part,
-                            x[rows][part], ctx.dist.density_f)
-        num[np.flatnonzero(rows)[part]] = below[i, k] + np.sum(last, axis=1)
+        ends, x_part = np.stack([start, target], axis=1), x[rows][part]
+        last = np.empty(len(k))
+        for t in row_tiles(len(k), _GL_X.size):
+            last[t] = np.sum(_panel_terms(ends[t], log, s_part[t], x_part[t],
+                                          ctx.dist.density_f), axis=1)
+        num[np.flatnonzero(rows)[part]] = below[i, k] + last
     return np.clip(_ratio(num, den) / h, 0.0, 1.0 / h)
 
 
@@ -537,7 +559,7 @@ class DriftTable:
     limit f(s)/survivor_density(s, 0) at the first column) and evaluates by
     bilinear interpolation with odd reflection in x.  Built once per run
     configuration; large ensembles interpolate instead of integrating per
-    knot.  Each level column is one ``_panel_terms`` pass per row group,
+    knot.  Each level column is one ``_panel_terms`` pass per row tile,
     whose survivor and drift terms share the integrand evaluations; nodes
     from the tail cut on get 0.  Every level must fall on log rows: a level
     too small against the cut's z range raises ``DomainError``.
@@ -568,10 +590,14 @@ class DriftTable:
             for rows, log, edges in _tail_layout(s_eval, x, ctx):
                 if not log:
                     raise DomainError("drift integral requires a nonzero level x")
-                # summed at once: the terms of one column do not outlive it
-                den[rows], num[rows] = (np.sum(t, axis=1) for t in _panel_terms(
-                    edges, log, s_eval[rows], x[rows], ctx.dist.density_f,
-                    reversion=True))
+                s_g, x_g = s_eval[rows], x[rows]
+                den_g, num_g = np.empty(len(s_g)), np.empty(len(s_g))
+                for t in row_tiles(len(s_g), (edges.shape[1] - 1) * _GL_X.size):
+                    den_g[t], num_g[t] = (
+                        np.sum(terms, axis=1) for terms in _panel_terms(
+                            edges[t], log, s_g[t], x_g[t], ctx.dist.density_f,
+                            reversion=True))
+                den[rows], num[rows] = den_g, num_g
             values[:, j] = _ratio(xj * num, den)
         return cls(s_nodes, x_nodes, values)
 

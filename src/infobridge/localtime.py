@@ -13,6 +13,13 @@ its running maximum so its increments always form a nonnegative measure,
 which the compensator integration requires.  The occupation-time identity,
 which converts time integrals along the path into level integrals against
 the local time, is exposed as a residual for test gating rather than assumed.
+
+The band credits integrate each step over 24 Gauss-Legendre times.  The
+(steps x 24) kernel runs in row tiles of at most ``quadrature.TILE_ELEMENTS``
+elements, 64 KiB per temporary: a credit table's build covers ~10^5 node
+pairs, and whole (pairs x 24) arrays would each be mapped and page-faulted
+by the allocator.  Each row sums its own 24 nodes in the same order
+whatever the tiling.
 """
 
 import math
@@ -23,6 +30,7 @@ from scipy.special import ndtr
 
 from .errors import DomainError
 from .paths import TimeGrid
+from .quadrature import row_tiles
 
 _GL_U, _GL_W = np.polynomial.legendre.leggauss(24)
 _GL_U1 = _GL_U + 1.0
@@ -56,6 +64,7 @@ def _band_time_credits(a, b, spans, x, epsilon):
     Steps whose endpoints clear the band by more than the bridge's crossing
     reach (excursion probability below ~1e-12) are flushed to exact zero, so
     a path that stays safely away from a band accrues literal zero there.
+    The other steps are integrated in row tiles.
     """
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
@@ -64,13 +73,17 @@ def _band_time_credits(a, b, spans, x, epsilon):
     credits = np.zeros(len(spans))
     if not live.any():
         return credits
-    al, bl, sl = a[live], b[live], spans[live][:, None]
-    u = 0.5 * sl * _GL_U1
-    w = 0.5 * sl * _GL_W
-    mean = al[:, None] + (bl - al)[:, None] * u / sl
-    sd = np.sqrt(np.maximum(u * (sl - u) / sl, 1e-300))
-    prob = ndtr((x + epsilon - mean) / sd) - ndtr((x - epsilon - mean) / sd)
-    credits[live] = np.sum(prob * w, axis=1)
+    a_live, b_live, s_live = a[live], b[live], spans[live]
+    out = np.empty(len(s_live))
+    for t in row_tiles(len(s_live), _GL_U.size):
+        al, bl, sl = a_live[t], b_live[t], s_live[t][:, None]
+        u = 0.5 * sl * _GL_U1
+        w = 0.5 * sl * _GL_W
+        mean = al[:, None] + (bl - al)[:, None] * u / sl
+        sd = np.sqrt(np.maximum(u * (sl - u) / sl, 1e-300))
+        prob = ndtr((x + epsilon - mean) / sd) - ndtr((x - epsilon - mean) / sd)
+        out[t] = np.sum(prob * w, axis=1)
+    credits[live] = out
     return credits
 
 

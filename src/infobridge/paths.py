@@ -119,17 +119,19 @@ class InformationPath:
         """
         return int(np.searchsorted(self.grid.knots[:-1], self.tau))
 
-    @property
+    @cached_property
     def spans(self):
         """Step lengths cut at the default time.
 
         The step containing the default time ends there; later steps have
-        length zero.
+        length zero.  Computed once per path and read-only: every caller
+        shares the array.
         """
         knots = self.grid.knots
         n = self.live_steps
         out = np.zeros(len(knots) - 1)
         out[:n] = np.minimum(knots[1:n + 1], self.tau) - knots[:n]
+        out.flags.writeable = False
         return out
 
     def stopped(self, head):

@@ -10,6 +10,9 @@ property of the law being integrated against
 The singularity is never handed to the adaptive rule directly: with the
 substitution v = a + z**2 an integrand behaving like (v - a)**-0.5 near a
 becomes smooth, so the subdivision spends its budget on genuine structure.
+
+``row_tiles`` splits the (rows x nodes) arrays of the fixed-rule
+Gauss-Legendre kernels in ``laws`` and ``localtime`` into row tiles.
 """
 
 import math
@@ -20,7 +23,26 @@ from scipy import integrate as _integrate
 
 from .errors import DomainError, EnvelopeError, NonConvergence
 
-__all__ = ["QuadratureSpec", "integrate_finite", "integrate_semi_infinite"]
+__all__ = ["QuadratureSpec", "integrate_finite", "integrate_semi_infinite",
+           "TILE_ELEMENTS", "row_tiles"]
+
+# 8192 float64 values, 64 KiB per temporary: half of glibc's default 128 KiB
+# mmap threshold, so a tile's temporaries are reused from the heap instead of
+# being mapped and page-faulted afresh on every call, and a few of them fit
+# in L2 together.  On a 2-core Xeon the window survivor (exp:1.0, dt 0.005)
+# cost 1.2-1.3 ms per path at this size, 1.4-1.9 ms at 16384 and 2.0-2.8 ms
+# at 32768, about what it cost untiled.
+TILE_ELEMENTS = 8192
+
+
+def row_tiles(n_rows, row_width):
+    """Slices of ``range(n_rows)``, in order, each covering at most
+    ``TILE_ELEMENTS`` elements of rows ``row_width`` wide (one row at least).
+    A kernel whose rows are independent gives the same bits per row on any
+    tiling."""
+    step = max(1, TILE_ELEMENTS // row_width)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,9 @@ def test_survival_domain_errors(tmp_path):
 def test_survival_with_underflowing_survivor_exits_2(tmp_path):
     base = ["survival", "--dist", "exp:1.0", "--dt", "0.5", "--t-max", "2.5",
             "--t", "0.5", "--out", str(tmp_path)]
-    assert main(base + ["--x", "200"]) == 2
-    assert not (tmp_path / "survival.csv").exists()
+    for x in ("200", "168"):
+        assert main(base + ["--x", x]) == 2
+        assert not (tmp_path / "survival.csv").exists()
     assert main(base + ["--x", "150"]) == 0
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from infobridge.laws import (
     _scaled_survivor,
     _scaled_survivor_integrand,
 )
-from infobridge.quadrature import integrate_finite
+from infobridge.paths import TimeGrid
+from infobridge.quadrature import TILE_ELEMENTS, integrate_finite
 
 # Frozen oracle values.  Riemann oracles: midpoint sums with 1e6 cells after
 # the substitution v = s + z^2 on z in (0, 20] (or the finite support).
@@ -185,23 +187,29 @@ def test_posterior_far_tail_flushes_to_zero(ctx_exp):
 
 
 def test_underflowing_survivor_is_a_domain_error(ctx_exp):
-    # On exp:1.0 at s = 0.5 the scaled survivor underflows to 0 from
-    # |x| ~ 170.5 on: the conditional laws raise, the densities do not.
-    s, x = 0.5, 200.0
-    for law in (lambda: survival_probability(s, 1.0, x, ctx_exp),
-                lambda: posterior_density(s, 1.0, x, ctx_exp),
-                lambda: mean_reversion_drift(s, x, ctx_exp),
-                lambda: conditional_expectation(lambda r: r, s, x, ctx_exp)):
-        with pytest.raises(DomainError, match="underflows"):
-            law()
+    # On exp:1.0 at s = 0.5 the scaled survivor falls below the smallest
+    # normal float from |x| ~ 167 on and to 0 from |x| ~ 170.5 on: the
+    # conditional laws raise, the densities do not.  A subnormal denominator
+    # has lost precision (the drift read 8.15 at x = 170 and 0 at x = 170.4).
+    s = 0.5
+    for x in (168.0, 170.4, 200.0):
+        for law in (lambda: survival_probability(s, 1.0, x, ctx_exp),
+                    lambda: posterior_density(s, 1.0, x, ctx_exp),
+                    lambda: mean_reversion_drift(s, x, ctx_exp),
+                    lambda: conditional_expectation(lambda r: r, s, x, ctx_exp)):
+            with pytest.raises(DomainError, match="underflows"):
+                law()
+    x = 200.0
     assert survivor_density(s, x, ctx_exp) == 0.0
     assert inverse_survivor_density(s, x, ctx_exp) == math.inf
     assert survivor_density_floor(0.4, s, x, ctx_exp) == 0.0
-    x = 150.0
-    assert 0.0 <= survival_probability(s, 1.0, x, ctx_exp) <= 1.0
-    assert posterior_density(s, 1.0, x, ctx_exp) >= 0.0
-    assert math.isfinite(mean_reversion_drift(s, x, ctx_exp))
-    assert math.isfinite(conditional_expectation(lambda r: r, s, x, ctx_exp))
+    for x in (150.0, 166.0):
+        assert 0.0 <= survival_probability(s, 1.0, x, ctx_exp) <= 1.0
+        assert posterior_density(s, 1.0, x, ctx_exp) >= 0.0
+        assert math.isfinite(conditional_expectation(lambda r: r, s, x, ctx_exp))
+    # the drift keeps rising by about 0.0495 per unit of x and stays odd
+    assert 0.0 < mean_reversion_drift(s, 150.0, ctx_exp) < mean_reversion_drift(
+        s, 166.0, ctx_exp) == -mean_reversion_drift(s, -166.0, ctx_exp)
 
 
 # -- conditional expectation and survival -------------------------------------
@@ -499,6 +507,47 @@ def test_survivor_panels_match_tail_grid(law):
     for rows, _, _, below in panels.groups:
         top[rows] = below[:, -1]
     np.testing.assert_allclose(top, panels.survivor, rtol=1e-13, atol=0.0)
+
+
+def test_panel_kernels_are_tile_invariant():
+    # 1000 states span several row tiles of the survivor panels (28 log or 42
+    # linear rows each) and of the window's last panel (341 rows of 24
+    # nodes), with a partial last tile, linear rows (x = 0), log rows and
+    # states past the cut: one call equals per-state calls bit for bit, the
+    # sums below each edge included.
+    ctx = ModelContext(_LAWS["gamma:2,2"])
+    rng = np.random.default_rng(15)
+    n = 1000
+    s = rng.uniform(0.01, 1.05 * ctx.t_cut, n)
+    x = np.where(rng.random(n) < 0.4, 0.0, rng.normal(0.0, 2.0, n))
+    panels = SurvivorPanels.build(ctx, s, x)
+    assert len(panels.groups) == 2
+    assert np.any(s >= ctx.t_cut) and not np.any(panels.survivor[s >= ctx.t_cut])
+    rates = {h: hazard_window_rates(ctx, panels, h) for h in (0.05, 0.5)}
+    for rows, _, edges, below in panels.groups:
+        assert np.count_nonzero(rows) * 24 > TILE_ELEMENTS
+        for j, i in enumerate(np.flatnonzero(rows)):
+            one = SurvivorPanels.build(ctx, s[i:i + 1], x[i:i + 1])
+            (_, _, one_edges, one_below), = one.groups
+            assert one.survivor.tobytes() == panels.survivor[i:i + 1].tobytes()
+            assert one_edges.tobytes() == edges[j:j + 1].tobytes()
+            assert one_below.tobytes() == below[j:j + 1].tobytes()
+            for h, r in rates.items():
+                assert hazard_window_rates(ctx, one, h).tobytes() == r[i:i + 1].tobytes()
+
+
+def test_compensator_weights_peak_memory():
+    # Row tiles bound every temporary of the headline grid's weights (8001
+    # knots, 192 nodes per knot); untiled they peaked at 85 MiB.
+    ctx = ModelContext(DefaultDistribution.exponential(1.0))
+    knots = TimeGrid.regular(2.0, 2.5e-4).knots
+    tracemalloc.start()
+    try:
+        compensator_weights(ctx, knots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def _level(kind, magnitude, h):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from infobridge.errors import DomainError
 from infobridge.laws import ModelContext
 from infobridge.localtime import (
     BandCreditTable,
+    _band_time_credits,
     level_grid,
     occupation_estimate,
     occupation_formula_residual,
@@ -81,6 +83,24 @@ def test_bucketed_cell_index_matches_searchsorted(dt, coeff):
     b = np.concatenate([a[1:] + rng.normal(0.0, math.sqrt(dt), len(a) - 1), q[:1]])
     for x, y in ((a, b), (q, q[::-1]), (q, np.roll(q, 7))):
         assert table.credit(x, y).tobytes() == searchsorted_credit(table, x, y).tobytes()
+
+
+def test_credit_table_is_tile_invariant_and_small():
+    # The table is one call over all node pairs, which runs many row tiles;
+    # one call per a-row runs others.  Untiled, the build peaked at 156 MiB.
+    span, eps = 2.5e-4, 0.2 * math.sqrt(2.5e-4)
+    tracemalloc.start()
+    try:
+        table = BandCreditTable(span, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    nodes = table.nodes
+    spans = np.full(len(nodes), span)
+    rows = np.stack([_band_time_credits(np.full(len(nodes), a), nodes, spans, 0.0, eps)
+                     for a in nodes])
+    assert rows.tobytes() == table.table.tobytes()
 
 
 def test_tanaka_raw_is_zero_for_constant_sign(ctx_exp):

@@ -208,6 +208,7 @@ def test_paths_live_on_the_caller_grid(ctx_exp):
     assert min(taus) < 2.0 < max(taus)
     for p in paths:
         spans = p.spans
+        assert spans is p.spans and not spans.flags.writeable
         assert len(spans) == len(p.grid.knots) - 1
         assert np.all(spans >= 0.0)
         assert abs(spans.sum() - min(p.tau, p.grid.t_max)) <= 1e-12
