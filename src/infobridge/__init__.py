@@ -18,7 +18,6 @@ from .distributions import DefaultDistribution, parse_distribution
 from .errors import (
     ConfigError,
     DomainError,
-    EnvelopeError,
     InfoBridgeError,
     InsufficientPaths,
     IntegrabilityError,

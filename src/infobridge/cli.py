@@ -62,7 +62,9 @@ EXIT_IO = 3
 def _context(cfg):
     quad = QuadratureSpec(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                           tail_cutoff_mass=cfg.tail_cutoff_mass)
-    return laws.ModelContext(parse_distribution(cfg.dist), quad)
+    ctx = laws.ModelContext(parse_distribution(cfg.dist), quad)
+    ctx.t_cut  # a non-finite cut stops every subcommand before it writes
+    return ctx
 
 
 def _outdir(cfg):
@@ -123,11 +125,10 @@ def _gate_lines(report):
 
 def cmd_compensator(cfg):
     ctx = _context(cfg)
-    grid = TimeGrid.regular(cfg.t_max, cfg.dt)
+    job = build_job(ctx, TimeGrid.regular(cfg.t_max, cfg.dt), cfg)
     out = _outdir(cfg)
     report_path = os.path.join(out, "report.txt")
     try:
-        job = build_job(ctx, grid, cfg)
         table = run_ensemble(job, cfg.paths)
         report = summarize_table(table, ctx, cfg.report_times,
                                  residual_matrix=cfg.residual_pairs,

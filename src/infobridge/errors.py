@@ -13,10 +13,6 @@ class NonConvergence(InfoBridgeError, RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget without meeting tolerance."""
 
 
-class EnvelopeError(InfoBridgeError, RuntimeError):
-    """The truncation point of a semi-infinite integral does not exceed its lower bound."""
-
-
 class IntegrabilityError(InfoBridgeError, RuntimeError):
     """The integrand is not negligible where the law's tail integrals are cut."""
 

@@ -57,7 +57,7 @@ in the same order whatever the tiling, so the results do not depend on it.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -100,8 +100,14 @@ class ModelContext:
     @cached_property
     def t_cut(self):
         """Where every tail integral against f stops; the law domain is
-        (0, t_cut).  Computed once per context."""
-        return self.dist.tail_cut(self.quad.tail_cutoff_mass)
+        (0, t_cut).  Computed once per context.  A law whose cut overflows
+        (lognormal:0,300) has no finite domain: ``DomainError``."""
+        with np.errstate(over="ignore"):
+            cut = self.dist.tail_cut(self.quad.tail_cutoff_mass)
+        if not math.isfinite(cut):
+            raise DomainError(f"the tail cut of {self.dist} at mass "
+                              f"{self.quad.tail_cutoff_mass} is not finite")
+        return cut
 
     def _check_interior_time(self, s, name="s"):
         if not (0.0 < s < self.t_cut):
@@ -150,17 +156,10 @@ def _scaled_survivor_integrand(s, x, ctx):
 def _tail(integrand, lower, ctx, points=None):
     """Integral of ``integrand`` over (lower, ctx.t_cut); the integrand may
     carry a (v - lower)**-0.5 singularity at the lower end.  The subdivision
-    starts on ``points`` and on the law's breakpoints inside the interval;
-    each breakpoint adds one subinterval to the budget."""
-    t_cut, quad = ctx.t_cut, ctx.quad
-    kinks = ctx.dist.breakpoints
-    if len(kinks):
-        inside = kinks[(kinks > lower) & (kinks < t_cut)].tolist()
-        points = [*(points or ()), *inside]
-        quad = replace(quad, max_subdivisions=quad.max_subdivisions + len(inside))
-    val, _ = integrate_semi_infinite(integrand, lower, quad,
-                                     truncation=t_cut, singular_at_a=True,
-                                     interior_points=points)
+    starts on ``points`` and on the law's breakpoints inside the interval."""
+    points = [*(points or ()), *ctx.dist.breakpoints.tolist()]
+    val, _ = integrate_semi_infinite(integrand, lower, ctx.quad,
+                                     truncation=ctx.t_cut, interior_points=points)
     return val
 
 
@@ -336,7 +335,9 @@ def mean_reversion_drift(s, x, ctx):
     base = _scaled_survivor_integrand(s, x, ctx)
 
     def integrand(v):
-        return base(v) / (v - s)
+        # 0 where v - s is 0 in floats, as in the survivor integrand
+        w = v - s
+        return base(v) / w if w > 0.0 else 0.0
 
     num = _tail(integrand, s, ctx, _layer_points(s, x))
     return x * num / _survivor_denominator(s, x, ctx)

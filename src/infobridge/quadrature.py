@@ -3,7 +3,8 @@
 Wraps adaptive Gauss-Kronrod subdivision (QUADPACK via scipy) behind the two
 entry points the model needs: finite intervals with an optional
 inverse-square-root singularity at the lower endpoint, and semi-infinite
-tails truncated at a point the caller supplies.  Where a tail is cut is a
+tails, where that singularity is always allowed, truncated at a point the
+caller supplies.  Where a tail is cut is a
 property of the law being integrated against
 (``DefaultDistribution.tail_cut``), not of the integrator.
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from scipy import integrate as _integrate
 
-from .errors import DomainError, EnvelopeError, NonConvergence
+from .errors import DomainError, NonConvergence
 
 __all__ = ["QuadratureSpec", "integrate_finite", "integrate_semi_infinite",
            "TILE_ELEMENTS", "row_tiles"]
@@ -47,7 +48,7 @@ def row_tiles(n_rows, row_width):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for adaptive quadrature.
+    """Tolerances for adaptive quadrature.
 
     rel_tol / abs_tol are the usual mixed tolerance targets.  tail_cutoff_mass
     is the probability mass a default law may leave beyond the point where its
@@ -57,31 +58,25 @@ class QuadratureSpec:
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_subdivisions: int = 200
     tail_cutoff_mass: float = 1e-9
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("rel_tol and abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
         if not (0.0 < self.tail_cutoff_mass <= 1e-6):
             raise DomainError("tail_cutoff_mass must lie in (0, 1e-6]")
 
 
 def _quad(f, a, b, spec, points=None):
     """Adaptive quadrature on [a, b]; raises NonConvergence on a bad estimate."""
-    if points is not None:
-        points = sorted(p for p in points if a < p < b)
-        if not points:
-            points = None
+    points = sorted(p for p in points or () if a < p < b) or None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = _integrate.quad(
             f, a, b,
             epsabs=spec.abs_tol,
             epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
+            limit=200 + len(points or ()),  # one more per starting point
             points=points,
             full_output=True,
         )
@@ -119,8 +114,8 @@ def integrate_finite(integrand, a, b, spec=QuadratureSpec(), singular_at_a=False
     -------
     (value, err_estimate) : tuple of float
     """
-    if b < a:
-        raise DomainError(f"integration bounds out of order: a={a} > b={b}")
+    if not a <= b:
+        raise DomainError(f"integration bounds out of order: a={a}, b={b}")
     if a == b:
         return 0.0, 0.0
     if singular_at_a:
@@ -137,23 +132,17 @@ def integrate_finite(integrand, a, b, spec=QuadratureSpec(), singular_at_a=False
 
 
 def integrate_semi_infinite(integrand, a, spec=QuadratureSpec(), *, truncation,
-                            singular_at_a=False, interior_points=None):
+                            interior_points=None):
     """Integrate ``integrand`` over [a, oo), cut at ``truncation``.
 
-    The caller chooses ``truncation`` as a point beyond which the integral is
-    negligible.  The reported error estimate includes a term for the
-    discarded tail, sized by the cutoff mass relative to the computed value.
-
-    Raises
-    ------
-    EnvelopeError
-        If the truncation point does not exceed ``a``.
+    Always taken after the substitution v = a + z**2, so the integrand may
+    carry a (v - a)**-0.5 singularity at a.  The caller chooses
+    ``truncation`` as a point beyond which the integral is negligible; a cut
+    below ``a`` raises ``DomainError``.  The reported error estimate includes
+    a term for the discarded tail, sized by the cutoff mass relative to the
+    computed value.
     """
-    t_cut = float(truncation)
-    if not (t_cut > a):
-        raise EnvelopeError(
-            f"truncation point {t_cut} does not exceed lower bound {a}"
-        )
-    value, err = integrate_finite(integrand, a, t_cut, spec, singular_at_a,
+    value, err = integrate_finite(integrand, a, float(truncation), spec,
+                                  singular_at_a=True,
                                   interior_points=interior_points)
     return value, err + abs(value) * spec.tail_cutoff_mass

@@ -124,6 +124,27 @@ def test_survival_with_underflowing_survivor_exits_2(tmp_path):
     assert main(base + ["--x", "150"]) == 0
 
 
+def test_law_with_non_finite_tail_cut_exits_2(tmp_path, monkeypatch):
+    # lognormal:0,300 leaves mass 1e-9 beyond a point past the largest float
+    monkeypatch.setenv("INFOBRIDGE_WORKERS", "1")
+    out = tmp_path / "run"
+    assert main(["simulate", "--dist", "lognormal:0,300", "--paths", "400",
+                 "--dt", "0.25", "--t-max", "1", "--out", str(out)]) == 2
+    cfg = _compensator_cfg(tmp_path, dist="lognormal:0,300")
+    assert main(["compensator", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_oversized_credit_table_exits_2(tmp_path, monkeypatch):
+    # the node count is checked before the table is allocated
+    monkeypatch.setenv("INFOBRIDGE_WORKERS", "1")
+    for coeff in ("1e-300", "1e-3", "1e300"):
+        out = tmp_path / coeff
+        cfg = _compensator_cfg(tmp_path, lt_eps_coeff=coeff)
+        assert main(["compensator", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def _compensator_cfg(tmp_path, **extra):
     lines = {
         "dist": "exp:1.0", "dt": "0.005", "t_max": "1.0", "paths": "600",

@@ -18,8 +18,10 @@ def test_all_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    # The suite's RuntimeWarning filter does not reach a subprocess.
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+    # The suite's warning filters do not reach a subprocess.
+    flags = [f"-Werror::{w}" for w in
+             ("RuntimeWarning", "DeprecationWarning", "PendingDeprecationWarning")]
+    proc = subprocess.run([sys.executable, *flags, str(demo)],
                           cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,7 @@ import pytest
 from infobridge import ensemble
 from infobridge.compensator import build_curve
 from infobridge.config import RunConfig
-from infobridge.distributions import DefaultDistribution
+from infobridge.distributions import DefaultDistribution, parse_distribution
 from infobridge.ensemble import (
     build_job,
     run_ensemble,
@@ -278,3 +278,38 @@ def test_tanaka_feed_config_switch(ctx):
         p = sample_path_direct(ctx, grid, RandomStream(cfg.seed, i))
         k = compensator_curve(p, tanaka_estimate(p, 0.0), job.weights)
         assert k[p.grid.index_of(1.0)] == table.K[i, 0]
+
+
+# Scaling time by c and the path by sqrt(c) maps a run of one law onto the
+# run of its time-scaled law on the grid of step c * dt: the same uniform
+# gives tau -> c tau and the same normals give beta -> sqrt(c) beta, while
+# K and K^h (with h -> c h) are unchanged.  Occupation bands scale with
+# sqrt(dt), so one lt_eps_coeff serves both runs.  This exercises weights,
+# survivor panels, tail cuts, credit tables and window rates on every family.
+SCALED_LAWS = [
+    ("exp:1.0", "exp:0.5", 2.0), ("exp:1.0", "exp:4.0", 0.25),
+    ("gamma:2,2", "gamma:2,1", 2.0), ("uniform:0,3", "uniform:0,6", 2.0),
+    ("uniform:1,3", "uniform:2,6", 2.0),
+    ("lognormal:0,0.5", f"lognormal:{math.log(2.0)!r},0.5", 2.0),
+]
+
+
+def _scaled_run(spec, c, estimator):
+    """40 paths of ``spec`` on [0, 2c] at step 0.01 c, seed 7."""
+    cfg = RunConfig(dist=spec, dt=0.01 * c, t_max=2.0 * c, seed=7,
+                    lt_estimator=estimator,
+                    report_times=(0.5 * c, 1.0 * c, 2.0 * c), residual_pairs=(),
+                    kh=(0.2 * c, 0.05 * c) if estimator == "occupation" else ())
+    job = build_job(ModelContext(parse_distribution(spec)),
+                    TimeGrid.regular(cfg.t_max, cfg.dt), cfg)
+    return run_ensemble(job, 40, workers=1)
+
+
+@pytest.mark.parametrize("base, scaled, c", SCALED_LAWS,
+                         ids=[f"{a}-{b}" for a, b, _ in SCALED_LAWS])
+def test_scale_covariance(base, scaled, c):
+    for estimator in ("occupation", "tanaka"):
+        one, other = _scaled_run(base, 1.0, estimator), _scaled_run(scaled, c, estimator)
+        np.testing.assert_allclose(other.tau, c * one.tau, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(other.K, one.K, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(other.Kh, one.Kh, rtol=1e-12, atol=1e-14)

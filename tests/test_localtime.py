@@ -24,7 +24,7 @@ from infobridge.paths import (
     sample_path_given_tau,
 )
 
-from oracles import searchsorted_credit
+from oracles import full_grid_tanaka, searchsorted_credit
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +86,9 @@ def test_bucketed_cell_index_matches_searchsorted(dt, coeff):
 
 
 def test_credit_table_is_tile_invariant_and_small():
-    # The table is one call over all node pairs, which runs many row tiles;
-    # one call per a-row runs others.  Untiled, the build peaked at 156 MiB.
+    # The table is one call per a-row; one call over all node pairs runs
+    # other row tiles.  The 339-node table itself is 0.9 MiB; built from
+    # full-size node-pair arrays it peaked at 10.3 MiB, untiled at 156 MiB.
     span, eps = 2.5e-4, 0.2 * math.sqrt(2.5e-4)
     tracemalloc.start()
     try:
@@ -95,25 +96,32 @@ def test_credit_table_is_tile_invariant_and_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
-    nodes = table.nodes
-    spans = np.full(len(nodes), span)
-    rows = np.stack([_band_time_credits(np.full(len(nodes), a), nodes, spans, 0.0, eps)
-                     for a in nodes])
-    assert rows.tobytes() == table.table.tobytes()
+    assert peak < 4 * 2 ** 20
+    aa, bb = np.meshgrid(table.nodes, table.nodes, indexing="ij")
+    pairs = _band_time_credits(aa.ravel(), bb.ravel(), np.full(aa.size, span),
+                               0.0, eps)
+    assert pairs.tobytes() == table.table.tobytes()
+
+
+@pytest.mark.parametrize("ratio", [1e-300, 1e-3, 0.02, 100.0, 1e300])
+def test_credit_table_above_node_cap_is_domain_error(ratio):
+    # epsilon / sqrt(span) alone sets the node count; 0.02 would need 2167
+    # nodes and 100 would need 2077, above the cap of 2048
+    with pytest.raises(DomainError):
+        BandCreditTable(0.01, ratio * 0.1)
 
 
 def test_tanaka_raw_is_zero_for_constant_sign(ctx_exp):
     grid = TimeGrid.regular(1.0, 0.01)
     p = sample_path_given_tau(2.0, ctx_exp, grid, RandomStream(17, 0))
-    raw = tanaka_estimate(p, -5.0, monotone=False)
-    assert np.max(np.abs(raw.values)) < 1e-12
+    assert np.max(np.abs(full_grid_tanaka(p, -5.0, monotone=False))) < 1e-12
+    assert np.max(np.abs(tanaka_estimate(p, -5.0).values)) < 1e-12
 
 
 def test_tanaka_projection_is_monotone_envelope(ctx_exp):
     grid = TimeGrid.regular(2.0, 0.005)
     p = sample_path_direct(ctx_exp, grid, RandomStream(23, 4))
-    raw = tanaka_estimate(p, 0.0, monotone=False).values
+    raw = full_grid_tanaka(p, 0.0, monotone=False)
     proj = tanaka_estimate(p, 0.0).values
     assert np.all(np.diff(proj) >= 0.0)
     assert np.all(proj >= raw - 1e-15)

@@ -69,9 +69,7 @@ def _check(ctx, grid, w, make_gen, eps, table):
         _same(occupation_estimate(path, x, eps).values,
               full_grid_occupation(path, x, eps))
     for x in (0.0, -0.05):
-        for monotone in (True, False):
-            _same(tanaka_estimate(path, x, monotone=monotone).values,
-                  full_grid_tanaka(path, x, monotone=monotone))
+        _same(tanaka_estimate(path, x).values, full_grid_tanaka(path, x))
     for lt in (occupation_estimate(path, 0.0, eps, credit_table=table),
                tanaka_estimate(path, 0.0)):
         _same(compensator_curve(path, lt, w), full_grid_compensator(lt.values, w))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from infobridge.distributions import DefaultDistribution
-from infobridge.errors import DomainError, EnvelopeError, NonConvergence
+from infobridge.errors import DomainError, NonConvergence
 from infobridge.quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
 
 from oracles import composite_simpson, riemann_midpoint
@@ -50,7 +50,7 @@ def test_exponential_tail_with_explicit_truncation():
 
 def test_singular_tail_closed_form():
     value, _ = integrate_semi_infinite(lambda v: (v - 1.0) ** -0.5 * math.exp(-v),
-                                       1.0, SPEC, truncation=40.0, singular_at_a=True)
+                                       1.0, SPEC, truncation=40.0)
     assert abs(value - SQRT_PI_OVER_E) < 1e-9 * SQRT_PI_OVER_E + 1e-12
 
 
@@ -104,23 +104,26 @@ def test_bounds_out_of_order():
 
 def test_degenerate_interval_is_zero():
     assert integrate_finite(lambda x: x, 2.0, 2.0, SPEC) == (0.0, 0.0)
+    assert integrate_semi_infinite(lambda x: math.exp(-x), 5.0, SPEC,
+                                   truncation=5.0) == (0.0, 0.0)
 
 
 def test_nonconvergence_when_budget_exhausted():
-    tiny = QuadratureSpec(max_subdivisions=1)
+    # 1/v is not integrable at 0: the default budget runs out
     with pytest.raises(NonConvergence):
-        integrate_finite(lambda v: v ** -0.5, 0.0, 1.0, tiny)
+        integrate_finite(lambda v: 1.0 / v, 0.0, 1.0, SPEC)
 
 
-def test_truncation_must_exceed_lower_bound():
-    with pytest.raises(EnvelopeError):
-        integrate_semi_infinite(lambda x: math.exp(-x), 5.0, SPEC, truncation=5.0)
+def test_truncation_below_lower_bound_is_out_of_order():
+    with pytest.raises(DomainError):
+        integrate_semi_infinite(lambda x: math.exp(-x), 5.0, SPEC, truncation=4.0)
+    with pytest.raises(DomainError):
+        integrate_semi_infinite(lambda x: math.exp(-x), 5.0, SPEC,
+                                truncation=math.nan)
 
 
 def test_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_subdivisions=0)
     with pytest.raises(DomainError):
         QuadratureSpec(tail_cutoff_mass=1e-3)
