@@ -5,7 +5,12 @@ quantile function, a seeded sampler, the effective horizon
 t1 = sup{t : F(t) < 1}, the point where tail integrals against f stop
 (``tail_cut``), and the kinks of a tabulated f (``breakpoints``).
 Parametric families are scipy.special kernels, written as scipy.stats
-evaluates them; tabulated densities are piecewise linear.
+evaluates them; tabulated densities are piecewise linear.  ``density_f``
+and ``quantile`` take a float or an array: a float in gives a float out,
+computed by the same kernels with the same ufuncs, so it has the bits of
+the array element at that point.  (The adaptive law integrals call them
+once per node on floats; wrapping each node in an array cost ten times the
+kernel.)
 
 All model quantities downstream are computed only for times below the tail
 cut, and bounded-support laws are therefore admitted even though the
@@ -27,12 +32,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _lognormal_pdf(y, sigma):
-    # exp(-inf) = 0 at y = 0, without taking log(0).
-    out = np.zeros_like(y)
-    pos = y != 0
-    z = y[pos]
-    out[pos] = np.exp(-np.log(z) ** 2 / (2 * (sigma * sigma)) - np.log(sigma * z * _SQRT_2PI))
-    return out
+    # For y > 0 only (density_f gives 0 at y = 0).  The square is a product:
+    # ``**`` on a numpy float goes through pow, which can round differently
+    # from the product an array gets.
+    lz = np.log(y)
+    return np.exp(-(lz * lz) / (2 * (sigma * sigma)) - np.log(sigma * y * _SQRT_2PI))
 
 
 class DefaultDistribution:
@@ -101,8 +105,10 @@ class DefaultDistribution:
             self._pdf = lambda y: np.interp(y, t, f)
             self._cdf = self._table_cdf
             self._ppf = self._table_quantile
-        # f is evaluated up to the largest float, so f(+inf) is 0 on every
-        # law (the gamma kernel is inf - inf there).
+        # f is evaluated on [f_lo, f_hi], so f(+inf) is 0 on every law (the
+        # gamma kernel is inf - inf there), and the lognormal kernel never
+        # takes log(0): its f(0) is exp(-inf) = 0.
+        self._f_lo = math.ulp(0.0) if kind == "lognormal" else self._lo
         self._f_hi = min(self._hi, np.finfo(float).max)
 
     def __reduce__(self):
@@ -169,10 +175,17 @@ class DefaultDistribution:
     # -- law ----------------------------------------------------------------
 
     def density_f(self, t):
-        """Density of the default time at ``t`` (vectorized)."""
+        """Density of the default time at ``t``: a float for a float, else
+        an array of t's shape.  Both come from the same kernel, so a float
+        has the bits of the array element at that point."""
+        if isinstance(t, float):
+            y = (t - self._loc) / self._scale
+            if self._f_lo <= y <= self._f_hi and t >= 0:
+                return float(self._pdf(y) / self._scale)
+            return math.nan if math.isnan(y) else 0.0
         ta, y = self._standardize(t)
         # t < 0 as well: y = (t - loc) / scale can underflow to -0.0.
-        inside = (self._lo <= y) & (y <= self._f_hi) & (ta >= 0)
+        inside = (self._f_lo <= y) & (y <= self._f_hi) & (ta >= 0)
         if inside.all():
             out = self._pdf(y) / self._scale
         else:
@@ -190,11 +203,17 @@ class DefaultDistribution:
         return out if np.ndim(t) else float(out[0])
 
     def quantile(self, u):
-        """Inverse distribution function, defined for u in [0, 1).
+        """Inverse distribution function, defined for u in [0, 1); NaN
+        passes through.
 
-        Closed-form (or special-function) inversion of each family, applied
-        to ``u`` as given, so a scalar draw stays a scalar computation.
+        Closed-form (or special-function) inversion of each family: a float
+        for a float, with the bits of the array element at that point, else
+        an array of u's shape.
         """
+        if isinstance(u, float):
+            if u < 0 or u >= 1:
+                raise DomainError("quantile argument must lie in [0, 1)")
+            return float(self._ppf(u))
         u = np.asarray(u, dtype=float)
         if np.any((u < 0) | (u >= 1)):
             raise DomainError("quantile argument must lie in [0, 1)")
@@ -206,20 +225,21 @@ class DefaultDistribution:
         ``gen``.  The draw consumes exactly one uniform, so a stream's draw
         sequence is reproducible.
         """
-        return float(self.quantile(gen.random()))
+        return self.quantile(gen.random())
 
     def tail_cut(self, mass):
         """Where tail integrals against f stop: t1 when it is finite (f
         vanishes beyond it), else the quantile that leaves ``mass`` beyond it."""
         if math.isfinite(self.t1):
             return self.t1
-        return float(self.quantile(1.0 - mass))
+        return self.quantile(1.0 - mass)
 
     # -- internals ----------------------------------------------------------
 
     def _standardize(self, t):
-        """t as a >= 1-d array (a scalar gets an array element's bits) and
-        y = (t - loc) / scale."""
+        """t as a >= 1-d array and y = (t - loc) / scale.  ``cdf_F`` sends
+        a float through here; ``density_f`` gives a float a branch of its
+        own through the same kernels, with the same bits."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return t, (t - self._loc) / self._scale
 
@@ -233,11 +253,13 @@ class DefaultDistribution:
 
     def _table_quantile(self, u):
         tk, fk, ck = self._table
-        idx = np.clip(np.searchsorted(ck, u, side="right") - 1, 0, len(tk) - 2)
+        # np.minimum/np.maximum: np.clip is several times slower on a scalar.
+        idx = np.minimum(np.maximum(np.searchsorted(ck, u, side="right") - 1, 0), len(tk) - 2)
         du = u - ck[idx]
         slope = (fk[idx + 1] - fk[idx]) / (tk[idx + 1] - tk[idx])
         # Root of 0.5*slope*x^2 + f_i*x = du, written to avoid cancellation.
-        disc = np.sqrt(np.maximum(fk[idx] ** 2 + 2.0 * slope * du, 0.0))
+        # A product, not ``** 2``: see _lognormal_pdf.
+        disc = np.sqrt(np.maximum(fk[idx] * fk[idx] + 2.0 * slope * du, 0.0))
         denom = fk[idx] + disc
         x = np.where(denom > 0, 2.0 * du / np.where(denom > 0, denom, 1.0), 0.0)
         return tk[idx] + np.clip(x, 0.0, tk[idx + 1] - tk[idx])

@@ -62,8 +62,9 @@ def test_cdf_zero_at_origin():
 
 
 def test_scalar_density_is_the_array_value():
-    # numpy's 0-d log loop and its array loop differ by one ulp at this t;
-    # scipy.stats evaluates on arrays, and so must a scalar call.
+    # At this t, log(t) ** 2 on a numpy float (pow) and on an array (a
+    # product) differ by one ulp; scipy.stats evaluates on arrays, and so
+    # must a scalar call.
     d = DefaultDistribution.lognormal(0.0, 0.5)
     t = 4.847166970951467
     assert d.density_f(t) == d.density_f(np.array([t]))[0] == stats.lognorm(s=0.5).pdf(t)
@@ -218,8 +219,10 @@ def test_parse_distribution():
 
 def test_quantile_domain():
     d = DefaultDistribution.exponential(1.0)
-    with pytest.raises(DomainError):
-        d.quantile(1.0)
+    for bad in (1.0, -1e-300, np.float64(1.0), np.array([0.5, 1.0])):
+        with pytest.raises(DomainError):
+            d.quantile(bad)
+    assert math.isnan(d.quantile(math.nan))
 
 
 # scipy.stats is the reference for the closed-form kernels: per family, the
@@ -286,20 +289,57 @@ def _any_law(draw):
     return DefaultDistribution.from_table(t, np.array(f) + 1e-3)
 
 
+# Laws whose density is positive at both closed ends of its support.
+_EDGE_LAWS = (DefaultDistribution.uniform(1.0, 3.0),
+              DefaultDistribution.from_table([0.5, 1.0, 2.0], [1.0, 0.5, 0.25]))
+
+
+def _support_ends(d):
+    if d.kind == "uniform":
+        return list(d.params)
+    if d.kind == "table":
+        return [float(d.breakpoints[0]), float(d.breakpoints[-1])]
+    return []
+
+
+def _assert_float_calls_match_array(d, t):
+    floats = [d.density_f(float(v)) for v in t]
+    assert all(type(v) is float for v in floats)
+    scalars = np.array(floats)
+    assert _bits([d.density_f(v) for v in t]) == _bits(scalars)  # np.float64 in
+    assert _bits(d.density_f(t)) == _bits(scalars)
+    assert _bits(d.density_f(t.reshape(1, -1))) == _bits(scalars.reshape(1, -1))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), d=_any_law())
 def test_density_array_matches_scalar_calls(data, d):
     # Nodes all inside the support take the whole-array route; a mix with
-    # negative, beyond-support and NaN nodes takes the masked route.
+    # negative, beyond-support and NaN nodes takes the masked route.  The
+    # exact support ends, signed zeros and +inf go in the mix.
     inside = d.quantile(np.array(data.draw(
         st.lists(st.floats(0.0, 0.999), min_size=1, max_size=30))))
     beyond = d.tail_cut(1e-12) + np.array(data.draw(
         st.lists(st.floats(1e-9, 100.0), max_size=5)))
     negative = np.array(data.draw(st.lists(st.floats(-50.0, -1e-300), max_size=5)))
-    mixed = np.concatenate([inside, beyond, negative, [np.nan]])
+    edges = np.array(_support_ends(d) + [0.0, -0.0, np.inf])
+    mixed = np.concatenate([inside, beyond, negative, edges, [np.nan]])
     mixed = mixed[np.array(data.draw(st.permutations(range(len(mixed)))))]
     with np.errstate(all="ignore"):
         for t in (inside, mixed):
-            scalars = np.array([d.density_f(float(v)) for v in t])
-            assert _bits(d.density_f(t)) == _bits(scalars)
-            assert _bits(d.density_f(t.reshape(1, -1))) == _bits(scalars.reshape(1, -1))
+            _assert_float_calls_match_array(d, t)
+        for law in _EDGE_LAWS:
+            ends = np.array(_support_ends(law))
+            assert np.all(law.density_f(ends) > 0)
+            _assert_float_calls_match_array(law, ends)
+            _assert_float_calls_match_array(law, np.concatenate([ends, edges]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=_any_law())
+def test_quantile_float_matches_array(data, d):
+    u = np.array([0.0] + data.draw(st.lists(
+        st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=30)))
+    floats = [d.quantile(float(v)) for v in u]
+    assert all(type(v) is float for v in floats)
+    assert _bits(floats) == _bits(d.quantile(u))
