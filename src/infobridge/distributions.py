@@ -184,11 +184,14 @@ class DefaultDistribution:
                 return float(self._pdf(y) / self._scale)
             return math.nan if math.isnan(y) else 0.0
         ta, y = self._standardize(t)
+        # Three reductions settle the common all-inside case; a NaN fails
+        # them (every comparison with NaN is false) and takes the masks.
         # t < 0 as well: y = (t - loc) / scale can underflow to -0.0.
-        inside = (self._f_lo <= y) & (y <= self._f_hi) & (ta >= 0)
-        if inside.all():
+        if y.size and (y.min() >= self._f_lo and y.max() <= self._f_hi
+                       and ta.min() >= 0):
             out = self._pdf(y) / self._scale
         else:
+            inside = (self._f_lo <= y) & (y <= self._f_hi) & (ta >= 0)
             out = np.where(np.isnan(y), np.nan, 0.0)
             out[inside] = self._pdf(y[inside]) / self._scale
         return out if np.ndim(t) else float(out[0])

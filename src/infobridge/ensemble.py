@@ -2,7 +2,12 @@
 
 A job bundles everything one path needs (context, grid, precomputed
 compensator weights, drift table, probe times); workers map fixed-size
-chunks of path indices to blocks of per-path statistics.  Path ``i`` always
+chunks of path indices to blocks of per-path statistics.  Each recorded
+group (H, K and K^h at ``times``, beta at ``s_nodes``, b at ``b_nodes``, its
+quadratic variation at ``qv_nodes``, each ``lt_probe`` time) reads the path
+only up to its last knot: ``run_ensemble`` maps every recorded time to its
+knot once per run (``_KnotPlan``) and the curves of a group are computed on
+the path's head ending there.  Path ``i`` always
 uses the stream keyed by (master seed, i), chunk boundaries do not depend on
 the worker count, and blocks are written back by chunk index, so the
 assembled arrays — and every CSV derived from them — are bit-identical no
@@ -23,7 +28,7 @@ from . import laws
 from .compensator import compensator_curve, laplacian_approximation, window_survivor
 from .errors import ConfigError, DomainError, InsufficientPaths
 from .localtime import BandCreditTable, occupation_estimate, tanaka_estimate
-from .paths import RandomStream, sample_path_direct
+from .paths import InformationPath, RandomStream, TimeGrid, sample_path_direct
 
 __all__ = [
     "EnsembleJob",
@@ -138,55 +143,116 @@ def _empty_block(job, n):
             for f in fields(EnsembleTable) if "dims" in f.metadata}
 
 
-def _path_row(job, i, block, k):
-    """Record the statistics of path ``i`` in row ``k`` of ``block``."""
-    path = sample_path_direct(job.ctx, job.grid, RandomStream(job.master_seed, i))
-    knots = path.grid.knots
-    if job.estimator == "tanaka":
-        lt = tanaka_estimate(path, 0.0)
-    else:
-        lt = occupation_estimate(path, 0.0, job.eps,
-                                 credit_table=job.credit_table)
-    kcum = compensator_curve(path, lt, job.weights)
+@dataclass(frozen=True)
+class _Knots:
+    """One recorded group: the grid index of each of its times, and the
+    prefix of the grid that ends at its last knot (the grid itself when
+    that knot ends the grid)."""
 
-    times = np.asarray(job.times)
-    t_idx = np.searchsorted(knots, times)
+    index: np.ndarray
+    grid: TimeGrid
+
+    @classmethod
+    def of(cls, grid, times):
+        index = np.array([grid.index_of(t) for t in times], dtype=np.intp)
+        end = int(index.max()) + 1 if len(index) else 1
+        if end < len(grid.knots):
+            grid = TimeGrid(grid.knots[:end], float(grid.knots[end - 1]))
+        return cls(index, grid)
+
+    def head(self, path):
+        """``path`` up to this group's last knot, with the same default time."""
+        if self.grid is path.grid:
+            return path
+        return InformationPath(path.tau, self.grid,
+                               path.beta[:len(self.grid.knots)], path.construction)
+
+
+@dataclass(frozen=True)
+class _KnotPlan:
+    """The knots of every recorded group of a job, found once per run.
+
+    Building it sends every recorded time through ``TimeGrid.index_of``, so
+    a time off the grid raises ``DomainError`` before any path runs.  b and
+    its quadratic variation come from one drift recovery on the longer of
+    their two heads.
+    """
+
+    times: _Knots
+    s_nodes: _Knots
+    b_nodes: _Knots
+    qv_nodes: _Knots
+    drift: _Knots
+    lt_probe: tuple
+
+    @classmethod
+    def of(cls, job):
+        grid = job.grid
+        b, qv = _Knots.of(grid, job.b_nodes), _Knots.of(grid, job.qv_nodes)
+        return cls(times=_Knots.of(grid, job.times),
+                   s_nodes=_Knots.of(grid, job.s_nodes),
+                   b_nodes=b, qv_nodes=qv,
+                   drift=max(b, qv, key=lambda g: len(g.grid.knots)),
+                   lt_probe=tuple(_Knots.of(grid, (t,)) for t, _ in job.lt_probe))
+
+
+def _path_row(job, plan, i, block, k):
+    """Record the statistics of path ``i`` in row ``k`` of ``block``.
+
+    Every curve here is a running sum or maximum, so its value at a knot
+    depends on the steps before that knot alone: each recorded group is
+    computed on the head of the path that ends at the group's last knot
+    (``plan``) and read there, with the bits of the whole-grid curve.
+    """
+    path = sample_path_direct(job.ctx, job.grid, RandomStream(job.master_seed, i))
     block["tau"][k] = path.tau
-    block["H"][k] = times >= path.tau
-    block["K"][k] = kcum[t_idx]
-    block["beta"][k] = path.beta[np.searchsorted(knots, np.asarray(job.s_nodes))]
-    if job.kh:
-        survivor = window_survivor(path, job.ctx)
-        for a, h in enumerate(job.kh):
-            block["Kh"][k, a] = laplacian_approximation(path, h, job.ctx,
-                                                        survivor)[t_idx]
+    block["H"][k] = np.asarray(job.times) >= path.tau
+    block["beta"][k] = path.beta[plan.s_nodes.index]
+    if job.times:
+        head = plan.times.head(path)
+        if job.estimator == "tanaka":
+            lt = tanaka_estimate(head, 0.0)
+        else:
+            lt = occupation_estimate(head, 0.0, job.eps,
+                                     credit_table=job.credit_table)
+        t_idx = plan.times.index
+        block["K"][k] = compensator_curve(head, lt, job.weights)[t_idx]
+        if job.kh:
+            survivor = window_survivor(head, job.ctx)
+            for a, h in enumerate(job.kh):
+                block["Kh"][k, a] = laplacian_approximation(head, h, job.ctx,
+                                                            survivor)[t_idx]
     if job.drift_table is not None:
         from .paths import recover_b
-        b = recover_b(path, job.ctx, drift_table=job.drift_table)
-        block["b"][k] = b[np.searchsorted(knots, np.asarray(job.b_nodes))]
+        b = recover_b(plan.drift.head(path), job.ctx, drift_table=job.drift_table)
+        block["b"][k] = b[plan.b_nodes.index]
         if job.qv_nodes:
-            d = np.diff(b)
-            qv = np.concatenate([[0.0], np.cumsum(d * d)])
-            block["qv_b"][k] = qv[np.searchsorted(knots, np.asarray(job.qv_nodes))]
-    for a, (t, x) in enumerate(job.lt_probe):
-        j = path.grid.index_of(t)
-        block["lt_occ"][k, a] = occupation_estimate(path, x, job.eps).values[j]
-        block["lt_tan"][k, a] = tanaka_estimate(path, x).values[j]
+            d = b[1:] - b[:-1]
+            qv = np.empty(len(b))
+            qv[0] = 0.0
+            np.cumsum(d * d, out=qv[1:])
+            block["qv_b"][k] = qv[plan.qv_nodes.index]
+    for a, ((_, x), probe) in enumerate(zip(job.lt_probe, plan.lt_probe)):
+        head = probe.head(path)
+        j = probe.index[0]
+        block["lt_occ"][k, a] = occupation_estimate(head, x, job.eps).values[j]
+        block["lt_tan"][k, a] = tanaka_estimate(head, x).values[j]
 
 
 _JOB = None
+_PLAN = None
 
 
-def _set_job(job):
-    global _JOB
-    _JOB = job
+def _set_job(job, plan):
+    global _JOB, _PLAN
+    _JOB, _PLAN = job, plan
 
 
 def _run_chunk(bounds):
     start, stop = bounds
     block = _empty_block(_JOB, stop - start)
     for k, i in enumerate(range(start, stop)):
-        _path_row(_JOB, i, block, k)
+        _path_row(_JOB, _PLAN, i, block, k)
     return start, block
 
 
@@ -206,10 +272,13 @@ def resolve_workers(explicit=None):
 def run_ensemble(job, n_paths, workers=None):
     """Run ``n_paths`` paths of the job; bit-identical for any worker count.
 
-    The pool never has more workers than there are chunks.
+    The knot plan is built here, before any worker starts, so a recorded
+    time off the grid raises ``DomainError`` in the caller.  The pool never
+    has more workers than there are chunks.
     """
     if n_paths < 1:
         raise InsufficientPaths("need at least one path")
+    plan = _KnotPlan.of(job)
     chunks = [(a, min(a + _CHUNK, n_paths)) for a in range(0, n_paths, _CHUNK)]
     workers = min(resolve_workers(workers), len(chunks))
     table = EnsembleTable.empty(job, n_paths)
@@ -220,14 +289,14 @@ def run_ensemble(job, n_paths, workers=None):
             getattr(table, name)[start:stop] = rows
 
     if workers <= 1:
-        _set_job(job)
+        _set_job(job, plan)
         for bounds in chunks:
             paste(*_run_chunk(bounds))
     else:
         import multiprocessing as mp
 
         mp_ctx = mp.get_context()
-        with mp_ctx.Pool(workers, initializer=_set_job, initargs=(job,)) as pool:
+        with mp_ctx.Pool(workers, initializer=_set_job, initargs=(job, plan)) as pool:
             for start, block in pool.imap(_run_chunk, chunks):
                 paste(start, block)
     return table

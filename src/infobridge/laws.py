@@ -570,6 +570,8 @@ class DriftTable:
         self.s_nodes = s_nodes
         self.x_nodes = x_nodes
         self.values = values
+        self._s_gaps = np.diff(s_nodes)
+        self._x_gaps = np.diff(x_nodes)
 
     @classmethod
     def build(cls, ctx, s_nodes, x_max=None):
@@ -603,20 +605,30 @@ class DriftTable:
         return cls(s_nodes, x_nodes, values)
 
     def evaluate(self, s, beta):
-        """Interpolated drift at times ``s`` and information values ``beta``."""
+        """Interpolated drift at times ``s`` and information values ``beta``.
+
+        Bounds are ``np.minimum``/``np.maximum`` pairs with the operand
+        order of ``np.clip`` (so a -0.0 weight stays -0.0), cell widths
+        come from the node gaps, and the corners are flat gathers of the
+        value table.
+        """
         s = np.asarray(s, dtype=float)
         beta = np.asarray(beta, dtype=float)
-        ax = np.clip(np.abs(beta), 0.0, self.x_nodes[-1])
-        si = np.clip(np.searchsorted(self.s_nodes, s, side="right") - 1,
-                     0, len(self.s_nodes) - 2)
-        sw = (s - self.s_nodes[si]) / (self.s_nodes[si + 1] - self.s_nodes[si])
-        sw = np.clip(sw, 0.0, 1.0)
-        xi = np.clip(np.searchsorted(self.x_nodes, ax, side="right") - 1,
-                     0, len(self.x_nodes) - 2)
-        xw = (ax - self.x_nodes[xi]) / (self.x_nodes[xi + 1] - self.x_nodes[xi])
-        v00 = self.values[si, xi]
-        v01 = self.values[si, xi + 1]
-        v10 = self.values[si + 1, xi]
-        v11 = self.values[si + 1, xi + 1]
-        interp = (1 - sw) * ((1 - xw) * v00 + xw * v01) + sw * ((1 - xw) * v10 + xw * v11)
+        s_nodes, x_nodes = self.s_nodes, self.x_nodes
+        ax = np.minimum(np.abs(beta), x_nodes[-1])
+        si = np.minimum(np.maximum(np.searchsorted(s_nodes, s, side="right") - 1, 0),
+                        len(s_nodes) - 2)
+        sw = np.minimum(np.maximum(0.0, (s - s_nodes[si]) / self._s_gaps[si]), 1.0)
+        xi = np.minimum(np.maximum(np.searchsorted(x_nodes, ax, side="right") - 1, 0),
+                        len(x_nodes) - 2)
+        xw = (ax - x_nodes[xi]) / self._x_gaps[xi]
+        uw = 1 - xw
+        row = self.values.shape[1]
+        k = si * row + xi
+        flat = self.values.ravel()
+        lo = uw * flat[k]
+        lo += xw * flat[k + 1]
+        hi = uw * flat[k + row]
+        hi += xw * flat[k + row + 1]
+        interp = (1 - sw) * lo + sw * hi
         return np.sign(beta) * interp

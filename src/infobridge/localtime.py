@@ -243,10 +243,13 @@ def tanaka_estimate(path, x):
     from the default time on, so the sum runs over its ``live_steps`` and
     the curve keeps its value after them.
     """
-    beta = path.beta[:path.live_steps + 1]
+    n = path.live_steps
+    beta = path.beta[:n + 1]
     centered = beta - x
     sgn = np.where(centered > 0.0, 1.0, -1.0)
-    stoch = np.concatenate([[0.0], np.cumsum(sgn[:-1] * np.diff(beta))])
+    stoch = np.empty(n + 1)
+    stoch[0] = 0.0
+    np.cumsum(sgn[:-1] * (beta[1:] - beta[:-1]), out=stoch[1:])
     raw = np.abs(centered) - abs(centered[0]) - stoch
     return LocalTimeCurve(float(x), path.grid,
                           path.stopped(np.maximum.accumulate(raw)))

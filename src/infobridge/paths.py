@@ -234,7 +234,12 @@ def recover_b(path, ctx, drift_table=None):
     Adds back the mean-reversion drift via a left-endpoint Riemann sum over
     the full steps before the default time; the partial step ending at the
     default time is skipped (the drift integrand blows up there while staying
-    integrable, and the omitted contribution vanishes with dt).
+    integrable, and the omitted contribution vanishes with dt).  Those full
+    steps are a prefix of the grid's steps: the drift is evaluated on their
+    left knots alone and summed into the output, which keeps the sum from
+    the default time on.  A caller that reads b only up to some knot may
+    pass the path's head ending there (same default time, the grid cut at
+    that knot) and gets the same values on its knots.
 
     With ``drift_table`` the drift is interpolated; otherwise it is evaluated
     by adaptive quadrature per knot, which is accurate but slow.
@@ -243,21 +248,19 @@ def recover_b(path, ctx, drift_table=None):
 
     knots = path.grid.knots
     beta = path.beta
-    steps = np.diff(knots)
-    left_t = knots[:-1]
-    left_x = beta[:-1]
-    include = knots[1:] < path.tau
-    incr = np.zeros(len(steps))
-    if np.any(include):
+    m = int(np.searchsorted(knots[1:], path.tau))  # full steps before tau
+    out = np.empty(len(knots))
+    out[0] = 0.0
+    if m:
         if drift_table is not None:
-            u = drift_table.evaluate(left_t[include], left_x[include])
+            u = drift_table.evaluate(knots[:m], beta[:m])
         else:
-            u = np.array([
-                mean_reversion_drift(float(s), float(x), ctx) if s > 0.0 else 0.0
-                for s, x in zip(left_t[include], left_x[include])
-            ])
-        incr[include] = u * steps[include]
-    return beta + np.concatenate([[0.0], np.cumsum(incr)])
+            u = np.array([mean_reversion_drift(float(s), float(x), ctx) if s > 0.0
+                          else 0.0 for s, x in zip(knots[:m], beta[:m])])
+        np.cumsum(u * (knots[1:m + 1] - knots[:m]), out=out[1:m + 1])
+    out[m + 1:] = out[m]
+    out += beta
+    return out
 
 
 def restrict_path(path, coarse_grid):

@@ -129,3 +129,79 @@ def full_grid_tanaka(path, x, monotone=True):
 
 def full_grid_compensator(lt_values, weights):
     return np.concatenate([[0.0], np.cumsum(weights[:-1] * np.diff(lt_values))])
+
+
+# ---------------------------------------------------------------------------
+# full-curve drift recovery and probe readout
+# ---------------------------------------------------------------------------
+
+def drift_table_evaluate(table, s, beta):
+    """``DriftTable.evaluate`` with ``np.clip`` bounds and 2-D gathers."""
+    s = np.asarray(s, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    ax = np.clip(np.abs(beta), 0.0, table.x_nodes[-1])
+    si = np.clip(np.searchsorted(table.s_nodes, s, side="right") - 1,
+                 0, len(table.s_nodes) - 2)
+    sw = (s - table.s_nodes[si]) / (table.s_nodes[si + 1] - table.s_nodes[si])
+    sw = np.clip(sw, 0.0, 1.0)
+    xi = np.clip(np.searchsorted(table.x_nodes, ax, side="right") - 1,
+                 0, len(table.x_nodes) - 2)
+    xw = (ax - table.x_nodes[xi]) / (table.x_nodes[xi + 1] - table.x_nodes[xi])
+    v00 = table.values[si, xi]
+    v01 = table.values[si, xi + 1]
+    v10 = table.values[si + 1, xi]
+    v11 = table.values[si + 1, xi + 1]
+    interp = (1 - sw) * ((1 - xw) * v00 + xw * v01) + sw * ((1 - xw) * v10 + xw * v11)
+    return np.sign(beta) * interp
+
+
+def full_grid_recover_b(path, drift_table):
+    """b on every knot: the drift of each full step before tau, masked out
+    of a full-length increment vector and summed behind a leading zero."""
+    knots = path.grid.knots
+    beta = path.beta
+    steps = np.diff(knots)
+    include = knots[1:] < path.tau
+    incr = np.zeros(len(steps))
+    if np.any(include):
+        u = drift_table_evaluate(drift_table, knots[:-1][include], beta[:-1][include])
+        incr[include] = u * steps[include]
+    return beta + np.concatenate([[0.0], np.cumsum(incr)])
+
+
+def full_grid_quadratic_variation(b):
+    d = np.diff(b)
+    return np.concatenate([[0.0], np.cumsum(d * d)])
+
+
+def full_curve_row(job, path):
+    """Every per-path field of one ensemble row from curves over the whole
+    path grid, each read at its knots by ``np.searchsorted``."""
+    from infobridge.compensator import laplacian_approximation, window_survivor
+
+    knots = path.grid.knots
+    at = lambda ts: np.searchsorted(knots, np.asarray(ts, dtype=float))
+    table = job.credit_table if job.estimator == "occupation" else None
+    lt = (full_grid_tanaka(path, 0.0) if job.estimator == "tanaka"
+          else full_grid_occupation(path, 0.0, job.eps, table))
+    t_idx = at(job.times)
+    row = {"tau": path.tau,
+           "H": np.asarray(job.times) >= path.tau,
+           "K": full_grid_compensator(lt, job.weights)[t_idx],
+           "beta": path.beta[at(job.s_nodes)]}
+    if job.kh:
+        survivor = window_survivor(path, job.ctx)
+        row["Kh"] = np.array([laplacian_approximation(path, h, job.ctx, survivor)[t_idx]
+                              for h in job.kh])
+    if job.drift_table is not None:
+        b = full_grid_recover_b(path, job.drift_table)
+        row["b"] = b[at(job.b_nodes)]
+        if job.qv_nodes:
+            row["qv_b"] = full_grid_quadratic_variation(b)[at(job.qv_nodes)]
+    if job.lt_probe:
+        j = at([t for t, _ in job.lt_probe])
+        row["lt_occ"] = np.array([full_grid_occupation(path, x, job.eps)[k]
+                                  for k, (_, x) in zip(j, job.lt_probe)])
+        row["lt_tan"] = np.array([full_grid_tanaka(path, x)[k]
+                                  for k, (_, x) in zip(j, job.lt_probe)])
+    return row

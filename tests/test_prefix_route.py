@@ -6,6 +6,11 @@ it and held after.  Every array must equal the full-grid construction of
 ``oracles`` bit for bit, on several laws and step sizes, including a default
 in the first step, a default exactly on a knot and a default beyond the
 horizon.
+
+The ensemble reads each recorded group on the head of the path that ends at
+the group's last knot; every ``EnsembleTable`` array must equal the readout
+of the whole-grid curves (``oracles.full_curve_row``) bit for bit, with the
+default before, at and after every recorded knot.
 """
 
 import math
@@ -13,13 +18,20 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import fields, replace
+
+from infobridge import ensemble
 from infobridge.compensator import compensator_curve
 from infobridge.distributions import parse_distribution
-from infobridge.laws import ModelContext, compensator_weights
+from infobridge.ensemble import EnsembleJob, EnsembleTable, run_ensemble
+from infobridge.errors import DomainError
+from infobridge.laws import DriftTable, ModelContext, compensator_weights
 from infobridge.localtime import BandCreditTable, occupation_estimate, tanaka_estimate
-from infobridge.paths import RandomStream, TimeGrid, sample_path_direct
+from infobridge.paths import RandomStream, TimeGrid, restrict_path, sample_path_direct
 
 from oracles import (
+    drift_table_evaluate,
+    full_curve_row,
     full_grid_compensator,
     full_grid_occupation,
     full_grid_path,
@@ -126,3 +138,137 @@ def test_normals_are_a_prefix_of_a_longer_draw():
         short = RandomStream(31, 4).generator().standard_normal(m)
         long = RandomStream(31, 4).generator().standard_normal(n)
         assert short.tobytes() == long[:m].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# recorded groups read on the path's head
+# ---------------------------------------------------------------------------
+
+def _rows_match(job, paths, monkeypatch):
+    """Run ``job`` serially on ``paths`` and compare every table array with
+    the whole-grid readout of each path."""
+    monkeypatch.setattr(ensemble, "sample_path_direct",
+                        lambda ctx, grid, rng: paths[rng.path_index])
+    table = run_ensemble(job, len(paths), workers=1)
+    for i, path in enumerate(paths):
+        want = full_curve_row(job, path)
+        for f in fields(EnsembleTable):
+            if "dims" not in f.metadata:
+                continue
+            got = getattr(table, f.name)[i]
+            if f.name in want:
+                ref = np.asarray(want[f.name], dtype=float).reshape(got.shape)
+                _same(got, ref)
+            else:
+                assert got.size == 0, f.name
+
+
+def _job(ctx, grid, estimator, **recorded):
+    dt = float(np.min(np.diff(grid.knots)))
+    eps = 0.5 * math.sqrt(dt)
+    table = BandCreditTable(dt, eps) if estimator == "occupation" else None
+    fields_ = dict(times=(0.5, 2.0), s_nodes=(0.5,), kh=(0.2,),
+                   drift_table=DriftTable.build(ctx, np.linspace(0.0, 2.0, 11)))
+    fields_.update(recorded)
+    return EnsembleJob(ctx=ctx, grid=grid, master_seed=0, eps=eps,
+                       estimator=estimator,
+                       weights=compensator_weights(ctx, grid.knots),
+                       credit_table=table, **fields_)
+
+
+def _defaults_around(dist, knots, recorded):
+    """Uniforms whose default times fall just before, on (where a uniform
+    inverts exactly onto the knot) and just after every recorded knot, in
+    the first step and beyond the horizon."""
+    us = [1e-300, 1.0 - 1e-4]
+    for r in recorded:
+        k = int(np.flatnonzero(knots == r)[0])
+        for t in (r - 0.3 * (r - knots[k - 1]), r):
+            us.append(float(dist.cdf_F(t)))
+        if k + 1 < len(knots):
+            us.append(float(dist.cdf_F(r + 0.3 * (knots[k + 1] - r))))
+    return us
+
+
+@pytest.mark.parametrize("law,estimator", [("gamma:2,2", "tanaka"),
+                                           ("exp:1.0", "occupation")])
+def test_recorded_groups_read_on_heads(law, estimator, monkeypatch):
+    ctx = ModelContext(parse_distribution(law))
+    dist = ctx.dist
+    # two knots that are exact quantiles, so a default can fall on them
+    u1, u2 = float(dist.cdf_F(0.62)), float(dist.cdf_F(1.13))
+    r1, r2 = dist.quantile(u1), dist.quantile(u2)
+    knots = np.unique(np.concatenate([np.linspace(0.0, 2.0, 41), [r1, r2]]))
+    grid = TimeGrid(knots, 2.0)
+    first = float(knots[1])
+    recorded = (first, 0.5, r1, r2, 2.0)
+    us = _defaults_around(dist, knots, recorded) + [u1, u2]
+    paths = [sample_path_direct(ctx, grid, _StubGen(u, 40 + i)) for i, u in enumerate(us)]
+    taus = [p.tau for p in paths]
+    assert taus[0] < first and taus[1] > grid.t_max
+    assert r1 in taus and r2 in taus
+    probes = ((r1, 0.0), (r2, 0.1), (2.0, -0.1), (first, 0.0))
+    jobs = [
+        # K's group ends before t_max; b's head is shorter than its QV's
+        _job(ctx, grid, estimator, times=(0.5, r1, r2), b_nodes=(r1,),
+             qv_nodes=(r2,), lt_probe=probes),
+        # K's group ends at t_max (the path itself); b without QV
+        _job(ctx, grid, estimator, b_nodes=(0.5, r2), lt_probe=probes[2:]),
+        # QV without b, on a head longer than K's
+        _job(ctx, grid, estimator, times=(first, r1), qv_nodes=(r1, 2.0)),
+    ]
+    for job in jobs:
+        _rows_match(job, paths, monkeypatch)
+
+
+def test_recorded_groups_on_a_restricted_grid(monkeypatch):
+    ctx = ModelContext(parse_distribution("gamma:2,2"))
+    fine = TimeGrid.regular(2.0, 0.01)
+    pick = [0, 3, 4, 10, 11, 12, 30, 50, 51, 77, 100, 140, 150, 199, 200]
+    coarse = TimeGrid(fine.knots[pick], 2.0)
+    paths = [restrict_path(sample_path_direct(ctx, fine, RandomStream(55, i)), coarse)
+             for i in range(24)]
+    assert any(p.tau < coarse.t_max for p in paths)
+    k = [float(t) for t in coarse.knots]
+    recorded = dict(times=(k[7], k[10]), s_nodes=(k[7],), b_nodes=(k[6], k[10]),
+                    qv_nodes=(k[11],),
+                    lt_probe=((k[10], 0.0), (k[2], 0.0), (k[12], 0.2)))
+    for estimator in ("tanaka", "occupation"):
+        _rows_match(_job(ctx, coarse, estimator, **recorded), paths, monkeypatch)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("group", ["b_nodes", "qv_nodes", "lt_probe"])
+def test_off_grid_recorded_time_raises_before_any_path(group, workers, monkeypatch):
+    ctx = ModelContext(parse_distribution("gamma:2,2"))
+    grid = TimeGrid.regular(2.0, 0.01)
+    job = _job(ctx, grid, "tanaka")
+    off = 0.505
+    value = ((off, 0.0),) if group == "lt_probe" else (0.5, off)
+    job = replace(job, **{group: value})
+
+    def no_path(*args):
+        raise AssertionError("a path ran")
+
+    monkeypatch.setattr(ensemble, "_path_row", no_path)
+    with pytest.raises(DomainError, match="not a grid knot"):
+        run_ensemble(job, 1024, workers=workers)
+
+
+def test_drift_evaluate_matches_reference():
+    ctx = ModelContext(parse_distribution("gamma:2,2"))
+    table = DriftTable.build(ctx, np.linspace(0.0, 2.0, 11))
+    x_max = table.x_nodes[-1]
+    rng = np.random.default_rng(12)
+    s_edge = np.array([-0.0, 0.0, -0.5, 0.05, 1.0, 2.0, 2.5, 1e9])
+    b_edge = np.array([0.0, -0.0, 1e-12, -1e-12, x_max, -x_max,
+                       2.0 * x_max, -3.0 * x_max, 0.7, -0.7])
+    s_grid, b_grid = (a.ravel() for a in np.meshgrid(s_edge, b_edge))
+    for n in (1, 7, 64, 1000):
+        s = rng.uniform(-0.5, 2.5, n)
+        b = rng.normal(0.0, x_max / 2.0, n)
+        _same(table.evaluate(s, b), drift_table_evaluate(table, s, b))
+    _same(table.evaluate(s_grid, b_grid), drift_table_evaluate(table, s_grid, b_grid))
+    for s0, b0 in zip(s_grid, b_grid):
+        got = table.evaluate(np.array([s0]), np.array([b0]))
+        _same(got, drift_table_evaluate(table, np.array([s0]), np.array([b0])))
