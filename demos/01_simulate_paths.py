@@ -25,7 +25,7 @@ grid = TimeGrid.regular(2.0, 0.01)
 print("Direct construction (default time drawn, then Brownian increments):")
 for i in range(5):
     p = sample_path_direct(ctx, grid, RandomStream(master_seed=7, path_index=i))
-    qv = quadratic_variation(p)[-1]
+    qv = quadratic_variation(p.beta)[-1]
     m = running_max_abs(p)[-1]
     state = "defaulted in window" if p.tau <= 2.0 else "survived the window"
     print(f"  path {i}: tau = {p.tau:6.3f} ({state}); quadratic variation "

@@ -7,11 +7,13 @@ group (H, K and K^h at ``times``, beta at ``s_nodes``, b at ``b_nodes``, its
 quadratic variation at ``qv_nodes``, each ``lt_probe`` time) reads the path
 only up to its last knot: ``run_ensemble`` maps every recorded time to its
 knot once per run (``_KnotPlan``) and the curves of a group are computed on
-the path's head ending there.  Path ``i`` always
-uses the stream keyed by (master seed, i), chunk boundaries do not depend on
-the worker count, and blocks are written back by chunk index, so the
-assembled arrays — and every CSV derived from them — are bit-identical no
-matter how many processes run the job.
+the path's head ending there.  b and its quadratic variation are recorded
+only with a drift table, and b is recovered only for a job that records
+either of them.  Path ``i`` always uses the stream keyed by (master seed,
+i), chunk boundaries do not depend on the worker count, and blocks are
+written back by chunk index, so the assembled arrays — and every CSV
+derived from them — are bit-identical no matter how many processes run the
+job.
 
 The reductions (means, standard errors, martingale residuals of the test
 functionals) work on the assembled table; they are the only route from paths
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import laws
+from . import laws, paths
 from .compensator import compensator_curve, laplacian_approximation, window_survivor
 from .errors import ConfigError, DomainError, InsufficientPaths
 from .localtime import BandCreditTable, occupation_estimate, tanaka_estimate
@@ -64,7 +66,7 @@ class EnsembleJob:
     s_nodes: tuple                      # where beta is recorded
     kh: tuple = ()                      # window lags recorded at `times`
     credit_table: object = None         # precomputed occupation step credits
-    drift_table: object = None          # enables b and its quadratic variation
+    drift_table: object = None          # needed for b and its quadratic variation
     b_nodes: tuple = ()                 # where b is recorded
     qv_nodes: tuple = ()                # where the quadratic variation of b is recorded
     lt_probe: tuple = ()                # (t, x) pairs for estimator cross-probes
@@ -173,9 +175,10 @@ class _KnotPlan:
     """The knots of every recorded group of a job, found once per run.
 
     Building it sends every recorded time through ``TimeGrid.index_of``, so
-    a time off the grid raises ``DomainError`` before any path runs.  b and
-    its quadratic variation come from one drift recovery on the longer of
-    their two heads.
+    a time off the grid raises ``DomainError`` before any path runs, and so
+    does a job that records b or its quadratic variation without a drift
+    table.  Both come from one drift recovery on the longer of their two
+    heads.
     """
 
     times: _Knots
@@ -187,6 +190,8 @@ class _KnotPlan:
 
     @classmethod
     def of(cls, job):
+        if (job.b_nodes or job.qv_nodes) and job.drift_table is None:
+            raise DomainError("b_nodes and qv_nodes need a drift_table")
         grid = job.grid
         b, qv = _Knots.of(grid, job.b_nodes), _Knots.of(grid, job.qv_nodes)
         return cls(times=_Knots.of(grid, job.times),
@@ -222,16 +227,11 @@ def _path_row(job, plan, i, block, k):
             for a, h in enumerate(job.kh):
                 block["Kh"][k, a] = laplacian_approximation(head, h, job.ctx,
                                                             survivor)[t_idx]
-    if job.drift_table is not None:
-        from .paths import recover_b
-        b = recover_b(plan.drift.head(path), job.ctx, drift_table=job.drift_table)
+    if job.b_nodes or job.qv_nodes:
+        b = paths.recover_b(plan.drift.head(path), job.drift_table)
         block["b"][k] = b[plan.b_nodes.index]
         if job.qv_nodes:
-            d = b[1:] - b[:-1]
-            qv = np.empty(len(b))
-            qv[0] = 0.0
-            np.cumsum(d * d, out=qv[1:])
-            block["qv_b"][k] = qv[plan.qv_nodes.index]
+            block["qv_b"][k] = paths.quadratic_variation(b)[plan.qv_nodes.index]
     for a, ((_, x), probe) in enumerate(zip(job.lt_probe, plan.lt_probe)):
         head = probe.head(path)
         j = probe.index[0]

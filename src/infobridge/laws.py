@@ -559,8 +559,9 @@ class DriftTable:
     Stores u(s, x) for x >= 0 on a log-spaced level grid (plus the x -> 0+
     limit f(s)/survivor_density(s, 0) at the first column) and evaluates by
     bilinear interpolation with odd reflection in x.  Built once per run
-    configuration; large ensembles interpolate instead of integrating per
-    knot.  Each level column is one ``_panel_terms`` pass per row tile,
+    configuration; it is the only drift source of the paths layer
+    (``paths.recover_b`` interpolates it and never integrates per knot).
+    Each level column is one ``_panel_terms`` pass per row tile,
     whose survivor and drift terms share the integrand evaluations; nodes
     from the tail cut on get 0.  Every level must fall on log rows: a level
     too small against the cut's z range raises ``DomainError``.

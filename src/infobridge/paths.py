@@ -217,10 +217,14 @@ def sample_path_given_tau(r, ctx, grid, rng):
     return InformationPath(float(r), grid, beta, "bridge_conditional")
 
 
-def quadratic_variation(path):
-    """Running sum of squared increments; flat from the default time on."""
-    d = np.diff(path.beta)
-    return np.concatenate([[0.0], np.cumsum(d * d)])
+def quadratic_variation(values):
+    """Running sum of squared increments of a curve's knot values, such as
+    ``path.beta`` or ``recover_b``'s b; flat from the default time on."""
+    d = values[1:] - values[:-1]
+    out = np.empty(len(values))
+    out[0] = 0.0
+    np.cumsum(d * d, out=out[1:])
+    return out
 
 
 def running_max_abs(path):
@@ -228,35 +232,27 @@ def running_max_abs(path):
     return np.maximum.accumulate(np.abs(path.beta))
 
 
-def recover_b(path, ctx, drift_table=None):
+def recover_b(path, drift_table):
     """Driving Brownian motion (stopped at default) recovered from the path.
 
-    Adds back the mean-reversion drift via a left-endpoint Riemann sum over
-    the full steps before the default time; the partial step ending at the
-    default time is skipped (the drift integrand blows up there while staying
-    integrable, and the omitted contribution vanishes with dt).  Those full
-    steps are a prefix of the grid's steps: the drift is evaluated on their
-    left knots alone and summed into the output, which keeps the sum from
-    the default time on.  A caller that reads b only up to some knot may
-    pass the path's head ending there (same default time, the grid cut at
-    that knot) and gets the same values on its knots.
-
-    With ``drift_table`` the drift is interpolated; otherwise it is evaluated
-    by adaptive quadrature per knot, which is accurate but slow.
+    Adds back the mean-reversion drift, read from ``drift_table`` (a
+    ``laws.DriftTable``), via a left-endpoint Riemann sum over the full steps
+    before the default time; the partial step ending at the default time is
+    skipped (the drift integrand blows up there while staying integrable,
+    and the omitted contribution vanishes with dt).  Those full steps are a
+    prefix of the grid's steps: the drift is evaluated on their left knots
+    alone and summed into the output, which keeps the sum from the default
+    time on.  A caller that reads b only up to some knot may pass the path's
+    head ending there (same default time, the grid cut at that knot) and
+    gets the same values on its knots.
     """
-    from .laws import mean_reversion_drift
-
     knots = path.grid.knots
     beta = path.beta
     m = int(np.searchsorted(knots[1:], path.tau))  # full steps before tau
     out = np.empty(len(knots))
     out[0] = 0.0
     if m:
-        if drift_table is not None:
-            u = drift_table.evaluate(knots[:m], beta[:m])
-        else:
-            u = np.array([mean_reversion_drift(float(s), float(x), ctx) if s > 0.0
-                          else 0.0 for s, x in zip(knots[:m], beta[:m])])
+        u = drift_table.evaluate(knots[:m], beta[:m])
         np.cumsum(u * (knots[1:m + 1] - knots[:m]), out=out[1:m + 1])
     out[m + 1:] = out[m]
     out += beta

@@ -9,6 +9,10 @@ The ``full_grid_*`` functions are the reference constructions of the per-path
 kernels: they draw and process every grid step, also those after the default
 time, and look credit cells up with ``np.searchsorted``.  The package stops
 at the step holding the default time and must match them bit for bit.
+
+``adaptive_recover_b`` is the one exception to the first rule: it reads the
+drift from the package's scalar law, per knot, as the reference for the
+tabulated drift that ``paths.recover_b`` interpolates.
 """
 
 import math
@@ -166,6 +170,22 @@ def full_grid_recover_b(path, drift_table):
     if np.any(include):
         u = drift_table_evaluate(drift_table, knots[:-1][include], beta[:-1][include])
         incr[include] = u * steps[include]
+    return beta + np.concatenate([[0.0], np.cumsum(incr)])
+
+
+def adaptive_recover_b(path, ctx):
+    """b with the drift of every full step before tau taken per knot from
+    ``laws.mean_reversion_drift`` at the step's left knot (0 at s = 0),
+    summed behind a leading zero and held from tau on."""
+    from infobridge.laws import mean_reversion_drift
+
+    knots = path.grid.knots
+    beta = path.beta
+    incr = np.zeros(len(knots) - 1)
+    for k in range(len(incr)):
+        if knots[k + 1] < path.tau and knots[k] > 0.0:
+            u = mean_reversion_drift(float(knots[k]), float(beta[k]), ctx)
+            incr[k] = u * (knots[k + 1] - knots[k])
     return beta + np.concatenate([[0.0], np.cumsum(incr)])
 
 

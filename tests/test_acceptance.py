@@ -135,7 +135,7 @@ def test_criterion_03_quadratic_variation():
     for i in range(n):
         p = sample_path_direct(ctx, grid, RandomStream(303, i))
         horizon = min(p.tau, 8.0)
-        qv = quadratic_variation(p)[p.grid.index_of(horizon)]
+        qv = quadratic_variation(p.beta)[p.grid.index_of(horizon)]
         if abs(qv - horizon) / horizon > 0.05:
             bad += 1
     frac = 1.0 - bad / n

@@ -20,6 +20,8 @@ from infobridge.paths import (
     sample_path_given_tau,
 )
 
+from oracles import adaptive_recover_b
+
 KS2_CRIT_1PCT = 1.6276
 
 
@@ -222,7 +224,7 @@ def test_quadratic_variation_tracks_time_before_default():
     grid = TimeGrid.regular(2.0, 1e-3)
     p = sample_path_direct(ctx, grid, RandomStream(2026, 0))
     assert p.tau > 2.0
-    qv = quadratic_variation(p)
+    qv = quadratic_variation(p.beta)
     assert abs(qv[-1] - 2.0) / 2.0 <= 0.05
 
 
@@ -233,7 +235,7 @@ def test_quadratic_variation_frozen_after_default(ctx_exp):
         if p.tau < 4.0:
             break
     assert p.tau < 4.0
-    qv = quadratic_variation(p)
+    qv = quadratic_variation(p.beta)
     j = int(np.searchsorted(p.grid.knots, p.tau))
     assert np.all(qv[j:] == qv[j])
 
@@ -245,7 +247,7 @@ def test_quadratic_variation_exact_on_synthetic_path():
     step = math.sqrt(1.0 / 1024.0)
     beta = np.where(np.arange(n + 1) % 2 == 1, step, 0.0)  # increments +-sqrt(dt)
     p = InformationPath(9.0, grid, beta, "direct")
-    qv = quadratic_variation(p)
+    qv = quadratic_variation(p.beta)
     assert np.array_equal(qv, knots)
 
 
@@ -265,7 +267,7 @@ def test_recover_b_constant_after_default(ctx_exp):
         if p.tau < 3.0:
             break
     table = DriftTable.build(ctx_exp, p.grid.knots, x_max=10.0)
-    b = recover_b(p, ctx_exp, drift_table=table)
+    b = recover_b(p, table)
     j = int(np.searchsorted(p.grid.knots, p.tau))
     assert np.allclose(b[j:], b[j], atol=0.0)
 
@@ -274,9 +276,19 @@ def test_recover_b_table_route_matches_exact(ctx_exp):
     grid = TimeGrid.regular(0.5, 0.05)
     p = sample_path_direct(ctx_exp, grid, RandomStream(12, 5))
     table = DriftTable.build(ctx_exp, p.grid.knots, x_max=10.0)
-    b_fast = recover_b(p, ctx_exp, drift_table=table)
-    b_slow = recover_b(p, ctx_exp)
+    b_fast = recover_b(p, table)
+    b_slow = adaptive_recover_b(p, ctx_exp)
     assert np.max(np.abs(b_fast - b_slow)) < 5e-3
+
+
+def test_recover_b_at_a_tiny_level(ctx_exp):
+    # |beta| = 4.3e-8 at t = 0.01, where the per-knot adaptive drift raises
+    # NonConvergence; the table's x = 0 column holds the x -> 0+ limit.
+    grid = TimeGrid.regular(2.0, 0.01)
+    p = sample_path_direct(ctx_exp, grid, RandomStream(7, 9649))
+    assert 0.0 < abs(p.beta[1]) < 1e-7 and p.tau > 0.02
+    b = recover_b(p, DriftTable.build(ctx_exp, grid.knots))
+    assert np.all(np.isfinite(b))
 
 
 def test_recover_b_martingale_increments(ctx_exp):
@@ -289,7 +301,7 @@ def test_recover_b_martingale_increments(ctx_exp):
     qv1 = np.empty(n)
     for i in range(n):
         p = sample_path_direct(ctx_exp, grid, RandomStream(424242, i))
-        b = recover_b(p, ctx_exp, drift_table=table)
+        b = recover_b(p, table)
         g = p.grid
         inc[i] = b[g.index_of(1.0)] - b[g.index_of(0.5)]
         d = np.diff(b[: g.index_of(1.0) + 1])

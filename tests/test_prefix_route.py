@@ -27,7 +27,13 @@ from infobridge.ensemble import EnsembleJob, EnsembleTable, run_ensemble
 from infobridge.errors import DomainError
 from infobridge.laws import DriftTable, ModelContext, compensator_weights
 from infobridge.localtime import BandCreditTable, occupation_estimate, tanaka_estimate
-from infobridge.paths import RandomStream, TimeGrid, restrict_path, sample_path_direct
+from infobridge.paths import (
+    RandomStream,
+    TimeGrid,
+    recover_b,
+    restrict_path,
+    sample_path_direct,
+)
 
 from oracles import (
     drift_table_evaluate,
@@ -253,6 +259,38 @@ def test_off_grid_recorded_time_raises_before_any_path(group, workers, monkeypat
     monkeypatch.setattr(ensemble, "_path_row", no_path)
     with pytest.raises(DomainError, match="not a grid knot"):
         run_ensemble(job, 1024, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("group", ["b_nodes", "qv_nodes"])
+def test_b_without_drift_table_raises_before_any_path(group, workers, monkeypatch):
+    ctx = ModelContext(parse_distribution("gamma:2,2"))
+    grid = TimeGrid.regular(2.0, 0.01)
+    job = replace(_job(ctx, grid, "tanaka"), drift_table=None, **{group: (0.5,)})
+
+    def no_path(*args):
+        raise AssertionError("a path was sampled")
+
+    monkeypatch.setattr(ensemble, "sample_path_direct", no_path)
+    with pytest.raises(DomainError, match="drift_table"):
+        run_ensemble(job, 1024, workers=workers)
+
+
+def test_drift_table_alone_recovers_no_b(monkeypatch):
+    ctx = ModelContext(parse_distribution("gamma:2,2"))
+    grid = TimeGrid.regular(2.0, 0.05)
+    job = _job(ctx, grid, "tanaka", lt_probe=((1.0, 0.0),))
+    assert job.drift_table is not None and not job.b_nodes and not job.qv_nodes
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return recover_b(*args)
+
+    monkeypatch.setattr(ensemble.paths, "recover_b", counted)
+    table = run_ensemble(job, 30, workers=1)
+    assert calls == []
+    assert table.b.shape == (30, 0) and table.qv_b.shape == (30, 0)
 
 
 def test_drift_evaluate_matches_reference():
