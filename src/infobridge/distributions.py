@@ -3,7 +3,8 @@
 A ``DefaultDistribution`` bundles the density f, distribution function F,
 quantile function, a seeded sampler, the effective horizon
 t1 = sup{t : F(t) < 1}, the point where tail integrals against f stop
-(``tail_cut``), and the kinks of a tabulated f (``breakpoints``).
+(``tail_cut``), and the kinks of a tabulated f and the jump of a uniform f
+at a positive lower end (``breakpoints``).
 Parametric families are scipy.special kernels, written as scipy.stats
 evaluates them; tabulated densities are piecewise linear.  ``density_f``
 and ``quantile`` take a float or an array: a float in gives a float out,
@@ -59,7 +60,7 @@ class DefaultDistribution:
         # f(t) = pdf(y) / scale and F(t) = cdf(y) with y = (t - loc) / scale,
         # on the support [lo, hi] in y; ppf maps u straight to t.
         self.t1 = math.inf
-        # Kinks of f where tail integrals should start a new subinterval.
+        # Kinks and jumps of f where tail integrals should start a new subinterval.
         self.breakpoints = np.empty(0)
         self._loc, self._scale, self._lo, self._hi = 0.0, 1.0, 0.0, math.inf
         if kind == "exponential":
@@ -85,6 +86,8 @@ class DefaultDistribution:
                 raise DomainError("uniform support must satisfy 0 <= a < b")
             self._loc, self._scale, self._hi = lo, hi - lo, 1.0
             self.t1 = hi
+            if lo > 0.0:
+                self.breakpoints = np.array([lo])
             self._pdf = np.ones_like
             self._cdf = lambda y: y
             self._ppf = lambda u: lo + (hi - lo) * u

@@ -13,7 +13,7 @@ substitution v = a + z**2 an integrand behaving like (v - a)**-0.5 near a
 becomes smooth, so the subdivision spends its budget on genuine structure.
 
 ``row_tiles`` splits the (rows x nodes) arrays of the fixed-rule
-Gauss-Legendre kernels in ``laws`` and ``localtime`` into row tiles.
+Gauss-Legendre kernels in ``laws`` into row tiles.
 """
 
 import math

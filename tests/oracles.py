@@ -12,12 +12,18 @@ at the step holding the default time and must match them bit for bit.
 
 ``adaptive_recover_b`` is the one exception to the first rule: it reads the
 drift from the package's scalar law, per knot, as the reference for the
-tabulated drift that ``paths.recover_b`` interpolates.
+tabulated drift that ``paths.recover_b`` interpolates.  ``adaptive_band_credit``
+calls scipy's adaptive QUADPACK rule directly, not the package's wrappers:
+the band credit is integrated in time over the bridge's Gaussian marginals,
+not in level over its local time as the package does.
 """
 
 import math
+import warnings
 
 import numpy as np
+from scipy import integrate
+from scipy.special import ndtr
 
 
 def composite_simpson(f, a, b, panels):
@@ -45,6 +51,32 @@ def riemann_sqrt_sub(f, a, z_hi, n):
         return 2.0 * z * f(a + z * z)
 
     return riemann_midpoint(g, 0.0, z_hi, n)
+
+
+def adaptive_band_credit(a, b, span, x, epsilon):
+    """Expected time a Brownian bridge from a to b over ``span`` spends in
+    [x - epsilon, x + epsilon]: the band probability of its Gaussian marginal
+    integrated in time.  Levels are in units of sqrt(span) and time in units
+    of span, and the substitution v = sin(th)**2 makes the integrand smooth
+    where the marginal's variance vanishes at both ends."""
+    root = math.sqrt(span)
+    lo, hi = (x - epsilon - a) / root, (x + epsilon - a) / root
+    rise = (b - a) / root
+
+    def integrand(th):
+        v = math.sin(th) ** 2
+        sd = math.sqrt(v * (1.0 - v))
+        if sd == 0.0:
+            return 0.0
+        mean = rise * v
+        return (ndtr((hi - mean) / sd) - ndtr((lo - mean) / sd)) * math.sin(2.0 * th)
+
+    with warnings.catch_warnings():
+        # roundoff at these tolerances is reported where the value is exact
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        value, _ = integrate.quad(integrand, 0.0, 0.5 * math.pi, epsabs=1e-15,
+                                  epsrel=1e-14, limit=1000)
+    return value * span
 
 
 def tabulated_density(fn, hi, step):
@@ -109,12 +141,15 @@ def full_grid_occupation(path, x, epsilon, table=None):
     a = path.beta[:-1][live]
     b = path.beta[1:][live]
     if table is not None:
+        # irregular steps and steps with one endpoint beyond the table are
+        # computed exactly
         regular = np.abs(spans - table.span) <= 1e-9 * table.span
+        lim = table.nodes[-1]
+        exact = ~regular | ((np.abs(a - x) < lim) != (np.abs(b - x) < lim))
         credits = np.zeros(len(spans))
         credits[regular] = searchsorted_credit(table, a[regular] - x, b[regular] - x)
-        if not np.all(regular):
-            irr = ~regular
-            credits[irr] = _band_time_credits(a[irr], b[irr], spans[irr], x, epsilon)
+        if np.any(exact):
+            credits[exact] = _band_time_credits(a[exact], b[exact], spans[exact], x, epsilon)
     else:
         credits = _band_time_credits(a, b, spans, x, epsilon)
     incr = np.zeros(len(live))

@@ -184,24 +184,19 @@ _MASS_LAWS["table5"] = DefaultDistribution.from_table([0.0, 0.5, 1.5, 3.0, 4.0],
        x=st.floats(-4.0, 4.0))
 def test_posterior_mass_is_one(law, frac, x):
     # The posterior of tau integrates to 1 over (t, t_cut), with the
-    # subdivision started on the bridge layer, the law's kinks and
-    # uniform's lower end.
+    # subdivision started on the bridge layer and the law's breakpoints.
     ctx = ModelContext(_MASS_LAWS[law])
-    dist = ctx.dist
     t = frac * ctx.t_cut
-    points = [*(_layer_points(t, x) or ()), *dist.breakpoints.tolist()]
-    if dist.kind == "uniform":
-        points.append(dist.params[0])
+    points = [*(_layer_points(t, x) or ()), *ctx.dist.breakpoints.tolist()]
     mass, _ = integrate_finite(lambda r: posterior_density(t, r, x, ctx), t, ctx.t_cut,
                                ctx.quad, singular_at_a=True, interior_points=points)
     assert abs(mass - 1.0) < 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="the posterior's denominator does not start "
-                   "its subdivision at uniform's lower end (breakpoints is empty)")
 def test_posterior_mass_across_uniform_lower_end():
-    # At this state the adaptive survivor misses the jump of f at 1 and is
-    # 1.7e-5 low relative, so the posterior's mass reads 1 + 1.7e-5.
+    # Without the jump of f at 1 among the law's breakpoints, the adaptive
+    # survivor at this state steps over it and is 1.7e-5 low relative, so
+    # the posterior's mass reads 1 + 1.7e-5.
     ctx = ModelContext(_MASS_LAWS["uniform:1,3"])
     t, x = 0.5965, 1.25
     mass, _ = integrate_finite(lambda r: posterior_density(t, r, x, ctx), t, ctx.t_cut,

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infobridge.distributions import DefaultDistribution
 from infobridge.errors import DomainError
@@ -24,7 +25,7 @@ from infobridge.paths import (
     sample_path_given_tau,
 )
 
-from oracles import full_grid_tanaka, searchsorted_credit
+from oracles import adaptive_band_credit, full_grid_tanaka, searchsorted_credit
 
 
 @pytest.fixture(scope="module")
@@ -78,17 +79,38 @@ def test_bucketed_cell_index_matches_searchsorted(dt, coeff):
     ])
     q = q[np.abs(q) < lim]
     assert np.array_equal(table._cell(q), np.searchsorted(nodes, q) - 1)
-    # the lookup equals the searchsorted bilinear formula bit for bit
+    # the lookup equals the searchsorted bilinear formula bit for bit, and
+    # the steps it leaves to the exact route have one endpoint off the table
     a = rng.uniform(-1.1 * lim, 1.1 * lim, 50_000)
     b = np.concatenate([a[1:] + rng.normal(0.0, math.sqrt(dt), len(a) - 1), q[:1]])
     for x, y in ((a, b), (q, q[::-1]), (q, np.roll(q, 7))):
-        assert table.credit(x, y).tobytes() == searchsorted_credit(table, x, y).tobytes()
+        got, edge = table.credit(x, y)
+        assert got.tobytes() == searchsorted_credit(table, x, y).tobytes()
+        assert np.array_equal(edge, (np.abs(x) < lim) != (np.abs(y) < lim))
+
+
+def test_credit_table_edge_step_is_exact():
+    # A step from the band's centre to beyond the table's last node: the
+    # table alone would credit it 0, the estimator computes it exactly.
+    span, eps = 1.0 / 512.0, 0.1
+    table = BandCreditTable(span, eps)
+    lim = table.nodes[-1]
+    beta = np.zeros(1025)
+    beta[2:] = lim
+    p = InformationPath(9.0, TimeGrid(np.arange(1025) / 512.0, 2.0), beta, "direct")
+    credit = _band_time_credits(beta[1:2], beta[2:3], np.array([span]), 0.0, eps)[0]
+    assert 0.1 * span < credit < 0.5 * span
+    assert table.credit(beta[1:2], beta[2:3])[0][0] == 0.0
+    with_table = occupation_estimate(p, 0.0, eps, credit_table=table).values
+    exact = occupation_estimate(p, 0.0, eps).values
+    assert with_table[2] - with_table[1] == pytest.approx(credit / (2.0 * eps), rel=1e-12)
+    np.testing.assert_allclose(with_table, exact, rtol=1e-6)
 
 
 def test_credit_table_is_tile_invariant_and_small():
-    # The table is one call per a-row; one call over all node pairs runs
-    # other row tiles.  The 339-node table itself is 0.9 MiB; built from
-    # full-size node-pair arrays it peaked at 10.3 MiB, untiled at 156 MiB.
+    # The table is one call per a-row, and one call over all node pairs
+    # gives the same bits.  The 339-node table itself is 0.9 MiB; built
+    # from full-size node-pair arrays it would peak near 10 MiB.
     span, eps = 2.5e-4, 0.2 * math.sqrt(2.5e-4)
     tracemalloc.start()
     try:
@@ -101,6 +123,52 @@ def test_credit_table_is_tile_invariant_and_small():
     pairs = _band_time_credits(aa.ravel(), bb.ravel(), np.full(aa.size, span),
                                0.0, eps)
     assert pairs.tobytes() == table.table.tobytes()
+
+
+def _band_edge_cases():
+    """(a, b, span, x, epsilon): endpoints on the band edges, inside, across
+    and just within the crossing reach, a = b, spans down to 1e-12 and
+    epsilon from 0.02 to 100 sqrt(span).  Off-zero levels are used where
+    sqrt(span) is large against the rounding of x, which limits any route
+    to about ulp(x) / sqrt(span)."""
+    cases = []
+    for span in (1e-12, 1e-6, 2.5e-4, 0.01, 1.0):
+        root = math.sqrt(span)
+        for coeff in (0.02, 0.2, 1.0, 5.0, 100.0):
+            eps = coeff * root
+            offsets = ((eps, eps), (-eps, eps), (eps, eps + root), (-eps, -eps - root),
+                       (-eps - 0.5 * root, eps), (0.0, 0.0), (0.5 * eps, 0.5 * eps),
+                       (-2.0 * eps, 3.0 * eps), (eps + 3.0 * root, eps + 3.5 * root),
+                       (-eps - 3.7 * root, -eps - 3.7 * root))
+            for x in ((0.0, -0.7) if span >= 2.5e-4 else (0.0,)):
+                cases.extend((x + da, x + db, span, x, eps) for da, db in offsets)
+    return cases
+
+
+def test_band_credits_match_adaptive_reference():
+    worst = 0.0
+    for a, b, span, x, eps in _band_edge_cases():
+        got = _band_time_credits(np.array([a]), np.array([b]), np.array([span]), x, eps)[0]
+        worst = max(worst, abs(got - adaptive_band_credit(a, b, span, x, eps)) / span)
+    assert worst <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_span=st.floats(-12.0, 1.0), log_coeff=st.floats(-3.0, 3.0),
+       x=st.floats(-2.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_band_credits_lie_between_zero_and_span(log_span, log_coeff, x, seed):
+    # The local time is nondecreasing only if no credit is negative, and no
+    # step spends more than its span in the band.
+    span = 10.0 ** log_span
+    root = math.sqrt(span)
+    eps = 10.0 ** log_coeff * root
+    rng = np.random.default_rng(seed)
+    a = x + rng.normal(0.0, eps + 4.0 * root, 2000)
+    b = a + rng.normal(0.0, root, 2000) * 10.0 ** rng.uniform(-3.0, 1.0, 2000)
+    spans = span * rng.uniform(1e-3, 1.0, 2000)
+    credits = _band_time_credits(a, b, spans, x, eps)
+    assert np.all(credits >= 0.0)
+    assert np.all(credits <= spans)
 
 
 @pytest.mark.parametrize("ratio", [1e-300, 1e-3, 0.02, 100.0, 1e300])
