@@ -22,9 +22,9 @@ survival                --dist --dt --t-max --out, and the state --t --x
 
 Exit codes: 0 success / all gates pass, 1 gate failure, 2 configuration
 error, 3 I/O error.  The compensator's worker count comes from the
-INFOBRIDGE_WORKERS environment variable (default: available CPUs); it must
-be an integer.  ``convergence`` runs its paths serially in this process and
-ignores the variable.
+INFOBRIDGE_WORKERS environment variable (default and cap: available CPUs);
+it must be an integer.  ``convergence`` runs its paths serially in this
+process and ignores the variable.
 """
 
 import argparse
@@ -126,8 +126,6 @@ def _gate_lines(report):
 def cmd_compensator(cfg):
     ctx = _context(cfg)
     job = build_job(ctx, TimeGrid.regular(cfg.t_max, cfg.dt), cfg)
-    out = _outdir(cfg)
-    report_path = os.path.join(out, "report.txt")
     try:
         table = run_ensemble(job, cfg.paths)
         report = summarize_table(table, ctx, cfg.report_times,
@@ -135,9 +133,10 @@ def cmd_compensator(cfg):
                                  functionals=cfg.functionals,
                                  gate_multiplier=cfg.gate_multiplier)
     except InsufficientPaths as exc:
-        with open(report_path, "w", newline="") as fh:
+        with open(os.path.join(_outdir(cfg), "report.txt"), "w", newline="") as fh:
             fh.write(f"FAIL insufficient paths: {exc}\n")
         return EXIT_GATE_FAIL
+    out = _outdir(cfg)
     with open(os.path.join(out, "curves.csv"), "w", newline="") as fh:
         write_curves_csv(table, fh)
     with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
@@ -145,7 +144,7 @@ def cmd_compensator(cfg):
     with open(os.path.join(out, "residuals.csv"), "w", newline="") as fh:
         write_residuals_csv(report, fh)
     lines, ok = _gate_lines(report)
-    with open(report_path, "w", newline="") as fh:
+    with open(os.path.join(out, "report.txt"), "w", newline="") as fh:
         fh.write(f"paths: {report.n_paths}\n")
         for line in lines:
             fh.write(line + "\n")

@@ -41,15 +41,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompensatorCurve:
-    """Per-path curves on the path grid: indicator and compensator."""
+    """The compensator of one path on the path grid."""
 
     grid: TimeGrid
-    tau: float
-    H: np.ndarray
     K: np.ndarray
-
-    def at(self, curve, t):
-        return float(curve[self.grid.index_of(t)])
 
 
 def indicator_curve(path):
@@ -151,6 +146,5 @@ def averaged_gaussian_kernel(h, x):
 
 
 def build_curve(path, lt, weights):
-    """Assemble the per-path curve bundle (indicator and compensator)."""
-    K = compensator_curve(path, lt, weights)
-    return CompensatorCurve(path.grid, path.tau, indicator_curve(path), K)
+    """The compensator of ``path`` with its grid."""
+    return CompensatorCurve(path.grid, compensator_curve(path, lt, weights))

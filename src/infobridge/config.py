@@ -60,8 +60,12 @@ class RunConfig:
             raise ConfigError(f"paths must be at least 1, got {self.paths}")
         if self.lt_estimator not in ("occupation", "tanaka"):
             raise ConfigError(f"unknown local-time estimator {self.lt_estimator!r}")
-        if self.lt_eps_coeff <= 0.0:
-            raise ConfigError("lt_eps_coeff must be positive")
+        if not (0.0 < self.lt_eps_coeff <= 1e6 and self.eps > 0.0):
+            # far wider bands carry no local-time information, and from about
+            # 1e150 on the closed-form band credits overflow; below, the band
+            # half-width must not underflow to 0
+            raise ConfigError(f"lt_eps_coeff must lie in (0, 1e6] and give a positive "
+                              f"band half-width, got {self.lt_eps_coeff}")
         if self.gate_multiplier <= 0.0:
             raise ConfigError("gate_multiplier must be positive")
         if any(h <= 0.0 for h in self.kh):

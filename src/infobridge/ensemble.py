@@ -96,7 +96,10 @@ class EnsembleTable:
     @classmethod
     def empty(cls, job, n):
         """Table for ``n`` paths of ``job`` with its arrays left unfilled."""
-        return cls(job=job, **_empty_block(job, n))
+        try:
+            return cls(job=job, **_empty_block(job, n))
+        except (ValueError, MemoryError) as exc:
+            raise DomainError(f"a table of {n} paths cannot be allocated") from exc
 
     @property
     def n_paths(self):
@@ -159,15 +162,14 @@ class _Knots:
         index = np.array([grid.index_of(t) for t in times], dtype=np.intp)
         end = int(index.max()) + 1 if len(index) else 1
         if end < len(grid.knots):
-            grid = TimeGrid(grid.knots[:end], float(grid.knots[end - 1]))
+            grid = TimeGrid(grid.knots[:end])
         return cls(index, grid)
 
     def head(self, path):
         """``path`` up to this group's last knot, with the same default time."""
         if self.grid is path.grid:
             return path
-        return InformationPath(path.tau, self.grid,
-                               path.beta[:len(self.grid.knots)], path.construction)
+        return InformationPath(path.tau, self.grid, path.beta[:len(self.grid.knots)])
 
 
 @dataclass(frozen=True)
@@ -257,31 +259,40 @@ def _run_chunk(bounds):
 
 
 def resolve_workers(explicit=None):
-    """Worker count: explicit argument, else the environment, else the CPUs."""
+    """Worker count: explicit argument, else the environment capped at the
+    CPU count, else the CPUs."""
     if explicit:
         return max(1, int(explicit))
+    cpus = os.cpu_count() or 1
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), cpus)
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    return cpus
+
+
+def _chunks(n_paths):
+    """Path index ranges of ``_CHUNK`` paths, the last one possibly shorter."""
+    return [(a, min(a + _CHUNK, n_paths)) for a in range(0, n_paths, _CHUNK)]
 
 
 def run_ensemble(job, n_paths, workers=None):
     """Run ``n_paths`` paths of the job; bit-identical for any worker count.
 
-    The knot plan is built here, before any worker starts, so a recorded
-    time off the grid raises ``DomainError`` in the caller.  The pool never
-    has more workers than there are chunks.
+    The knot plan and the table are built here, before any worker starts,
+    so a recorded time off the grid or a path count whose table cannot be
+    allocated raises ``DomainError`` in the caller.  The pool never
+    has more workers than there are chunks, nor, when the count comes from
+    the environment, than there are CPUs.
     """
     if n_paths < 1:
         raise InsufficientPaths("need at least one path")
     plan = _KnotPlan.of(job)
-    chunks = [(a, min(a + _CHUNK, n_paths)) for a in range(0, n_paths, _CHUNK)]
-    workers = min(resolve_workers(workers), len(chunks))
     table = EnsembleTable.empty(job, n_paths)
+    chunks = _chunks(n_paths)
+    workers = min(resolve_workers(workers), len(chunks))
 
     def paste(start, block):
         stop = start + len(block["tau"])
@@ -404,8 +415,9 @@ def summarize_table(table, ctx, report_times, residual_matrix=(),
     in ``functionals`` is tested on each pair, and the report's gates decide
     each residual against ``gate_multiplier`` standard errors.
     """
-    if table.n_paths < 1:
-        raise InsufficientPaths("empty ensemble")
+    if table.n_paths < 2:
+        raise InsufficientPaths(f"a standard error needs at least 2 paths, "
+                                f"got {table.n_paths}")
     times = np.asarray(report_times, dtype=float)
     cols = [table.time_index(float(t)) for t in times]
     hs = table.H[:, cols]

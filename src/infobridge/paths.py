@@ -55,10 +55,13 @@ _U64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing knots from 0 to t_max."""
+    """Strictly increasing knots from 0; the last one is the horizon."""
 
     knots: np.ndarray
-    t_max: float
+
+    @property
+    def t_max(self):
+        return float(self.knots[-1])
 
     @classmethod
     def regular(cls, t_max, dt):
@@ -73,7 +76,7 @@ class TimeGrid:
         except (OverflowError, ValueError, MemoryError) as exc:
             raise DomainError(f"dt={dt} gives {steps:.3g} steps, more than can "
                               f"be allocated") from exc
-        return cls(knots, float(t_max))
+        return cls(knots)
 
     def index_of(self, t):
         """Index of the knot equal to ``t``; raises if absent."""
@@ -107,7 +110,6 @@ class InformationPath:
     tau: float
     grid: TimeGrid
     beta: np.ndarray
-    construction: str
 
     @cached_property
     def live_steps(self):
@@ -176,7 +178,7 @@ def sample_path_direct(ctx, grid, rng):
     gen = _generator_of(rng)
     tau = ctx.dist.sample_tau(gen)
     knots = grid.knots
-    path = InformationPath(tau, grid, np.zeros(len(knots)), "direct")
+    path = InformationPath(tau, grid, np.zeros(len(knots)))
     n = path.live_steps
     if n == 0:  # tau = 0: the path starts in default
         return path
@@ -214,7 +216,7 @@ def sample_path_given_tau(r, ctx, grid, rng):
     m = np.cumsum(dm)
     beta = np.zeros(len(knots))
     beta[1:][live] = (r - t1) * m
-    return InformationPath(float(r), grid, beta, "bridge_conditional")
+    return InformationPath(float(r), grid, beta)
 
 
 def quadratic_variation(values):
@@ -271,5 +273,4 @@ def restrict_path(path, coarse_grid):
     idx = np.searchsorted(path.grid.knots, knots)
     if np.any(idx >= len(path.grid.knots)) or np.any(path.grid.knots[idx] != knots):
         raise DomainError("coarse grid is not a subset of the path grid")
-    return InformationPath(path.tau, coarse_grid, path.beta[idx].copy(),
-                           path.construction)
+    return InformationPath(path.tau, coarse_grid, path.beta[idx].copy())

@@ -1,10 +1,9 @@
 """Deterministic one-dimensional quadrature.
 
 Wraps adaptive Gauss-Kronrod subdivision (QUADPACK via scipy) behind the two
-entry points the model needs: finite intervals with an optional
-inverse-square-root singularity at the lower endpoint, and semi-infinite
-tails, where that singularity is always allowed, truncated at a point the
-caller supplies.  Where a tail is cut is a
+entry points the model needs: plain finite intervals, and semi-infinite
+tails that may carry an inverse-square-root singularity at the lower
+endpoint, truncated at a point the caller supplies.  Where a tail is cut is a
 property of the law being integrated against
 (``DefaultDistribution.tail_cut``), not of the integrator.
 
@@ -92,42 +91,16 @@ def _quad(f, a, b, spec, points=None):
     return value, err
 
 
-def integrate_finite(integrand, a, b, spec=QuadratureSpec(), singular_at_a=False,
-                     interior_points=None):
-    """Integrate ``integrand`` over [a, b].
+def integrate_finite(integrand, a, b, spec=QuadratureSpec(), interior_points=None):
+    """Integrate ``integrand``, finite on (a, b), over [a, b] with a <= b.
 
-    Parameters
-    ----------
-    integrand : callable
-        Scalar function of one real variable, finite on (a, b).
-    a, b : float
-        Interval endpoints, a <= b.
-    spec : QuadratureSpec
-    singular_at_a : bool
-        Declare an integrable (v - a)**-0.5 style singularity at the lower
-        endpoint; it is removed by the substitution v = a + z**2.
-    interior_points : sequence of float, optional
-        Locations (in the original variable) of known sharp features; the
-        subdivision starts from them instead of having to discover them.
-
-    Returns
-    -------
-    (value, err_estimate) : tuple of float
+    The subdivision starts from ``interior_points``, known sharp features,
+    instead of having to discover them.  Returns (value, error estimate).
     """
     if not a <= b:
         raise DomainError(f"integration bounds out of order: a={a}, b={b}")
     if a == b:
         return 0.0, 0.0
-    if singular_at_a:
-        z_hi = math.sqrt(b - a)
-        z_points = None
-        if interior_points is not None:
-            z_points = [math.sqrt(p - a) for p in interior_points if p > a]
-
-        def transformed(z):
-            return 2.0 * z * integrand(a + z * z)
-
-        return _quad(transformed, 0.0, z_hi, spec, points=z_points)
     return _quad(integrand, a, b, spec, points=interior_points)
 
 
@@ -136,13 +109,16 @@ def integrate_semi_infinite(integrand, a, spec=QuadratureSpec(), *, truncation,
     """Integrate ``integrand`` over [a, oo), cut at ``truncation``.
 
     Always taken after the substitution v = a + z**2, so the integrand may
-    carry a (v - a)**-0.5 singularity at a.  The caller chooses
-    ``truncation`` as a point beyond which the integral is negligible; a cut
-    below ``a`` raises ``DomainError``.  The reported error estimate includes
-    a term for the discarded tail, sized by the cutoff mass relative to the
-    computed value.
+    carry a (v - a)**-0.5 singularity at a; ``interior_points`` are given in
+    v.  The caller chooses ``truncation`` as a point beyond which the
+    integral is negligible; a cut below ``a`` raises ``DomainError``.  The
+    reported error estimate includes a term for the discarded tail, sized by
+    the cutoff mass relative to the computed value.
     """
-    value, err = integrate_finite(integrand, a, float(truncation), spec,
-                                  singular_at_a=True,
-                                  interior_points=interior_points)
+    b = float(truncation)
+    if not a <= b:
+        raise DomainError(f"integration bounds out of order: a={a}, b={b}")
+    z_points = [math.sqrt(p - a) for p in interior_points or () if p > a]
+    value, err = integrate_finite(lambda z: 2.0 * z * integrand(a + z * z),
+                                  0.0, math.sqrt(b - a), spec, interior_points=z_points)
     return value, err + abs(value) * spec.tail_cutoff_mass

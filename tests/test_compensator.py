@@ -73,9 +73,9 @@ def test_compensator_zero_without_local_time(ctx_exp):
     # exactly zero local time at zero, hence a identically zero compensator.
     n = 1024
     knots = np.arange(n + 1) / 512.0
-    grid = TimeGrid(knots, 2.0)
+    grid = TimeGrid(knots)
     beta = 1.0 + knots
-    p = InformationPath(9.0, grid, beta, "direct")
+    p = InformationPath(9.0, grid, beta)
     lt = occupation_estimate(p, 0.0, 0.25)
     assert np.all(lt.values == 0.0)
     k = compensator_curve(p, lt, compensator_weights(ctx_exp, knots))

@@ -86,6 +86,8 @@ def test_bad_value(tmp_path):
     dict(t_max=float("inf")),
     dict(gate_multiplier=float("nan")),
     dict(lt_eps_coeff=float("nan")),
+    dict(lt_eps_coeff=1e300),
+    dict(lt_eps_coeff=5e-324),  # the band half-width underflows to 0
     dict(kh=(0.2, float("nan"))),
     dict(report_times=(0.5, float("inf"))),
     dict(residual_pairs=((0.5, float("nan")),)),

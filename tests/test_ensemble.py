@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from infobridge import ensemble
-from infobridge.compensator import build_curve
+from infobridge.compensator import build_curve, indicator_curve
 from infobridge.config import RunConfig
 from infobridge.distributions import DefaultDistribution, parse_distribution
 from infobridge.ensemble import (
@@ -57,6 +57,26 @@ def test_worker_count_invariance(job, table):
         assert np.array_equal(getattr(table, name), getattr(other, name))
 
 
+def test_worker_count_from_environment_is_capped_at_cpus(monkeypatch):
+    # Read from the arithmetic alone: no pool is started.
+    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("INFOBRIDGE_WORKERS", "100000")
+    chunks = ensemble._chunks(10 ** 6)
+    assert len(chunks) == 1954 and chunks[-1] == (999936, 10 ** 6)
+    assert ensemble.resolve_workers() == 4
+    assert min(ensemble.resolve_workers(), len(chunks)) == 4
+    assert min(ensemble.resolve_workers(), len(ensemble._chunks(700))) == 2
+    for env, expect in (("3", 3), ("0", 1), ("-7", 1)):
+        monkeypatch.setenv("INFOBRIDGE_WORKERS", env)
+        assert ensemble.resolve_workers() == expect
+    monkeypatch.delenv("INFOBRIDGE_WORKERS")
+    assert ensemble.resolve_workers() == 4
+    assert ensemble.resolve_workers(6) == 6  # an explicit count is the caller's
+    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("INFOBRIDGE_WORKERS", "100000")
+    assert ensemble.resolve_workers() == 1
+
+
 def test_table_matches_per_path_module(ctx, job, table):
     # The driver must reproduce the per-path objects row by row.
     grid = TimeGrid.regular(CFG.t_max, CFG.dt)
@@ -66,9 +86,11 @@ def test_table_matches_per_path_module(ctx, job, table):
         assert p.tau == table.tau[i]
         lt = occupation_estimate(p, 0.0, eps, credit_table=job.credit_table)
         curve = build_curve(p, lt, job.weights)
+        H = indicator_curve(p)
         for j, t in enumerate(job.times):
-            assert curve.at(curve.H, t) == table.H[i, j]
-            assert curve.at(curve.K, t) == table.K[i, j]
+            k = curve.grid.index_of(t)
+            assert H[k] == table.H[i, j]
+            assert curve.K[k] == table.K[i, j]
         for j, s in enumerate(job.s_nodes):
             assert p.beta[p.grid.index_of(s)] == table.beta[i, j]
 
@@ -205,6 +227,9 @@ def test_insufficient_paths(ctx, job):
         table_martingale_residual(tiny, 0.5, 1.0, "one")
     with pytest.raises(InsufficientPaths):
         run_ensemble(job, 0)
+    # one path has no standard error, with or without residual pairs
+    with pytest.raises(InsufficientPaths):
+        summarize_table(run_ensemble(job, 1, workers=1), ctx, (0.5,))
 
 
 def test_build_job_rejects_off_grid_times(ctx):

@@ -29,7 +29,7 @@ from infobridge.laws import (
     _scaled_survivor_integrand,
 )
 from infobridge.paths import TimeGrid
-from infobridge.quadrature import TILE_ELEMENTS, integrate_finite
+from infobridge.quadrature import TILE_ELEMENTS, integrate_finite, integrate_semi_infinite
 
 # Frozen oracle values.  Riemann oracles: midpoint sums with 1e6 cells after
 # the substitution v = s + z^2 on z in (0, 20] (or the finite support).
@@ -188,8 +188,8 @@ def test_posterior_mass_is_one(law, frac, x):
     ctx = ModelContext(_MASS_LAWS[law])
     t = frac * ctx.t_cut
     points = [*(_layer_points(t, x) or ()), *ctx.dist.breakpoints.tolist()]
-    mass, _ = integrate_finite(lambda r: posterior_density(t, r, x, ctx), t, ctx.t_cut,
-                               ctx.quad, singular_at_a=True, interior_points=points)
+    mass, _ = integrate_semi_infinite(lambda r: posterior_density(t, r, x, ctx), t, ctx.quad,
+                                      truncation=ctx.t_cut, interior_points=points)
     assert abs(mass - 1.0) < 1e-8
 
 
@@ -199,9 +199,9 @@ def test_posterior_mass_across_uniform_lower_end():
     # the posterior's mass reads 1 + 1.7e-5.
     ctx = ModelContext(_MASS_LAWS["uniform:1,3"])
     t, x = 0.5965, 1.25
-    mass, _ = integrate_finite(lambda r: posterior_density(t, r, x, ctx), t, ctx.t_cut,
-                               ctx.quad, singular_at_a=True,
-                               interior_points=[*_layer_points(t, x), 1.0])
+    mass, _ = integrate_semi_infinite(lambda r: posterior_density(t, r, x, ctx), t, ctx.quad,
+                                      truncation=ctx.t_cut,
+                                      interior_points=[*_layer_points(t, x), 1.0])
     assert abs(mass - 1.0) < 1e-8
 
 
@@ -324,8 +324,9 @@ def test_table_law_scalar_route_matches_segment_sum():
 
     def segments(integrand, lower):
         edges = [lower, *knots[(knots > lower) & (knots < ctx.t_cut)], ctx.t_cut]
-        return sum(integrate_finite(integrand, a, b, ctx.quad, singular_at_a=(k == 0))[0]
-                   for k, (a, b) in enumerate(zip(edges, edges[1:])))
+        first = integrate_semi_infinite(integrand, lower, ctx.quad, truncation=edges[1])[0]
+        return first + sum(integrate_finite(integrand, a, b, ctx.quad)[0]
+                           for a, b in zip(edges[1:], edges[2:]))
 
     # s = 0.3 lies one ulp below the knot 0.30000000000000004, so the first
     # segment samples v with v - s == 0 in floats
@@ -505,7 +506,6 @@ def test_compensator_weights_masked_beyond_horizon(ctx_unif, ctx_exp):
 def test_hazard_window_rates_match_scalar():
     from infobridge.distributions import parse_distribution
     from infobridge.laws import _scaled_survivor_integrand
-    from infobridge.quadrature import integrate_finite
 
     h = 0.1
     cases = [
@@ -519,9 +519,9 @@ def test_hazard_window_rates_match_scalar():
         panels = SurvivorPanels.build(ctx, np.array(s), np.array(x))
         rates = hazard_window_rates(ctx, panels, h)
         for sv, xv, rv in zip(s, x, rates):
-            num, _ = integrate_finite(
+            num, _ = integrate_semi_infinite(
                 _scaled_survivor_integrand(sv, xv, ctx),
-                sv, min(sv + h, ctx.t_cut), ctx.quad, singular_at_a=True)
+                sv, ctx.quad, truncation=min(sv + h, ctx.t_cut))
             slow = num / _scaled_survivor(sv, xv, ctx) / h
             assert abs(rv - slow) < 1e-6 * max(slow, 1e-9), (spec, sv, xv)
             assert 0.0 <= rv <= 1.0 / h
@@ -641,9 +641,9 @@ def test_hazard_window_rates_match_scalar_property(law, h, states):
             assert rv == (1.0 / h if den > 0.0 else 0.0)
             continue
         points = _layer_points(sv, xv)
-        num, _ = integrate_finite(_scaled_survivor_integrand(sv, xv, ctx),
-                                  sv, sv + h, ctx.quad, singular_at_a=True,
-                                  interior_points=points)
+        num, _ = integrate_semi_infinite(_scaled_survivor_integrand(sv, xv, ctx),
+                                         sv, ctx.quad, truncation=sv + h,
+                                         interior_points=points)
         ref_den = _scaled_survivor(sv, xv, ctx)
         slow = num / ref_den / h if ref_den > 0.0 else 0.0
         assert abs(rv - slow) < 1e-6 * max(slow, 1e-9), (law, h, sv, xv)

@@ -37,8 +37,8 @@ def _ramp_path():
     """Deterministic unit-slope path beta_s = s - 1 on [0, 2] (no default)."""
     n = 1024
     knots = np.arange(n + 1) / 512.0
-    grid = TimeGrid(knots, 2.0)
-    return InformationPath(9.0, grid, knots - 1.0, "direct")
+    grid = TimeGrid(knots)
+    return InformationPath(9.0, grid, knots - 1.0)
 
 
 def test_occupation_on_unit_slope_ramp():
@@ -97,7 +97,7 @@ def test_credit_table_edge_step_is_exact():
     lim = table.nodes[-1]
     beta = np.zeros(1025)
     beta[2:] = lim
-    p = InformationPath(9.0, TimeGrid(np.arange(1025) / 512.0, 2.0), beta, "direct")
+    p = InformationPath(9.0, TimeGrid(np.arange(1025) / 512.0), beta)
     credit = _band_time_credits(beta[1:2], beta[2:3], np.array([span]), 0.0, eps)[0]
     assert 0.1 * span < credit < 0.5 * span
     assert table.credit(beta[1:2], beta[2:3])[0][0] == 0.0

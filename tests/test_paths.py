@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -53,6 +54,22 @@ def test_grid_validation():
         TimeGrid.regular(1.0, 0.0)
     with pytest.raises(DomainError):
         TimeGrid.regular(0.1, 0.25)
+
+
+def test_grid_end_is_its_last_knot(ctx_exp):
+    # The horizon is read from the knots, so a path whose default lies past
+    # the last knot is live on every positive knot: no grid can claim a
+    # horizon beyond its knots and leave the last one at zero.
+    knots = np.linspace(0.0, 2.0, 201)
+    grid = TimeGrid(knots)
+    assert [f.name for f in dataclasses.fields(TimeGrid)] == ["knots"]
+    assert grid.t_max == 2.0
+    late = [p for p in (sample_path_direct(ctx_exp, grid, RandomStream(21, i))
+                        for i in range(60)) if p.tau > 2.0]
+    assert late
+    for p in late:
+        p.validate()
+        assert p.live_steps == len(knots) - 1 and p.beta[-1] != 0.0
 
 
 def test_stream_determinism_and_independence():
@@ -158,7 +175,6 @@ def test_bridge_zero_from_length_on(ctx_exp):
     k = p.grid.knots
     assert np.all(p.beta[k >= 2.0] == 0.0)
     assert np.all(p.beta[(k > 0) & (k < 2.0)] != 0.0)
-    assert p.construction == "bridge_conditional"
 
 
 def test_bridge_rejects_nonpositive_length(ctx_exp):
@@ -243,10 +259,10 @@ def test_quadratic_variation_frozen_after_default(ctx_exp):
 def test_quadratic_variation_exact_on_synthetic_path():
     n = 1024
     knots = np.arange(n + 1) / 1024.0
-    grid = TimeGrid(knots, 1.0)
+    grid = TimeGrid(knots)
     step = math.sqrt(1.0 / 1024.0)
     beta = np.where(np.arange(n + 1) % 2 == 1, step, 0.0)  # increments +-sqrt(dt)
-    p = InformationPath(9.0, grid, beta, "direct")
+    p = InformationPath(9.0, grid, beta)
     qv = quadratic_variation(p.beta)
     assert np.array_equal(qv, knots)
 

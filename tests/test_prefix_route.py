@@ -205,7 +205,7 @@ def test_recorded_groups_read_on_heads(law, estimator, monkeypatch):
     u1, u2 = float(dist.cdf_F(0.62)), float(dist.cdf_F(1.13))
     r1, r2 = dist.quantile(u1), dist.quantile(u2)
     knots = np.unique(np.concatenate([np.linspace(0.0, 2.0, 41), [r1, r2]]))
-    grid = TimeGrid(knots, 2.0)
+    grid = TimeGrid(knots)
     first = float(knots[1])
     recorded = (first, 0.5, r1, r2, 2.0)
     us = _defaults_around(dist, knots, recorded) + [u1, u2]
@@ -231,7 +231,7 @@ def test_recorded_groups_on_a_restricted_grid(monkeypatch):
     ctx = ModelContext(parse_distribution("gamma:2,2"))
     fine = TimeGrid.regular(2.0, 0.01)
     pick = [0, 3, 4, 10, 11, 12, 30, 50, 51, 77, 100, 140, 150, 199, 200]
-    coarse = TimeGrid(fine.knots[pick], 2.0)
+    coarse = TimeGrid(fine.knots[pick])
     paths = [restrict_path(sample_path_direct(ctx, fine, RandomStream(55, i)), coarse)
              for i in range(24)]
     assert any(p.tau < coarse.t_max for p in paths)

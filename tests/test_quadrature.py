@@ -24,7 +24,7 @@ def test_polynomial_is_exact():
 
 
 def test_inverse_sqrt_singularity_via_substitution():
-    value, _ = integrate_finite(lambda v: v ** -0.5, 0.0, 1.0, SPEC, singular_at_a=True)
+    value, _ = integrate_semi_infinite(lambda v: v ** -0.5, 0.0, SPEC, truncation=1.0)
     assert abs(value - 2.0) < 1e-10
 
 
