@@ -48,7 +48,6 @@ from .compensator import (
     averaged_gaussian_kernel,
     build_curve,
     compensator_curve,
-    indicator_curve,
     laplacian_approximation,
     window_survivor,
 )

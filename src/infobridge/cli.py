@@ -72,6 +72,17 @@ def _outdir(cfg):
     return cfg.out
 
 
+def _check_outdir(cfg):
+    """Raise before a long run, creating nothing, the I/O error that
+    ``_outdir`` would raise after it: the nearest existing ancestor of
+    ``cfg.out`` must be a writable directory."""
+    base = os.path.abspath(cfg.out) if cfg.out else ""
+    while base and not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot create the output directory {cfg.out!r}")
+
+
 def cmd_simulate(cfg):
     ctx = _context(cfg)
     grid = TimeGrid.regular(cfg.t_max, cfg.dt)
@@ -126,6 +137,7 @@ def _gate_lines(report):
 def cmd_compensator(cfg):
     ctx = _context(cfg)
     job = build_job(ctx, TimeGrid.regular(cfg.t_max, cfg.dt), cfg)
+    _check_outdir(cfg)
     try:
         table = run_ensemble(job, cfg.paths)
         report = summarize_table(table, ctx, cfg.report_times,
@@ -158,6 +170,7 @@ def cmd_convergence(cfg):
     weights = laws.compensator_weights(ctx, grid.knots)
     times = cfg.report_times
     idx = [grid.index_of(t) for t in times]
+    _check_outdir(cfg)
     gaps = np.zeros((len(cfg.kh), len(times)))
     for i in range(cfg.paths):
         path = sample_path_direct(ctx, grid, RandomStream(cfg.seed, i))

@@ -30,7 +30,6 @@ from .paths import TimeGrid
 
 __all__ = [
     "CompensatorCurve",
-    "indicator_curve",
     "compensator_curve",
     "laplacian_approximation",
     "window_survivor",
@@ -45,15 +44,6 @@ class CompensatorCurve:
 
     grid: TimeGrid
     K: np.ndarray
-
-
-def indicator_curve(path):
-    """Default indicator H on the path grid.
-
-    1 from the first knot at or after the default time on, that is from the
-    right end of the partial step that ends at the default.
-    """
-    return (path.grid.knots >= path.tau).astype(float)
 
 
 def compensator_curve(path, lt, weights):

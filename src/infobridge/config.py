@@ -60,11 +60,14 @@ class RunConfig:
             raise ConfigError(f"paths must be at least 1, got {self.paths}")
         if self.lt_estimator not in ("occupation", "tanaka"):
             raise ConfigError(f"unknown local-time estimator {self.lt_estimator!r}")
-        if not (0.0 < self.lt_eps_coeff <= 1e6 and self.eps > 0.0):
-            # far wider bands carry no local-time information, and from about
-            # 1e150 on the closed-form band credits overflow; below, the band
-            # half-width must not underflow to 0
-            raise ConfigError(f"lt_eps_coeff must lie in (0, 1e6] and give a positive "
+        if self.lt_eps_coeff <= 0.0:
+            raise ConfigError("lt_eps_coeff must be positive")
+        if self.lt_estimator == "occupation" and not (self.lt_eps_coeff <= 1e150
+                                                      and self.eps > 0.0):
+            # the band credits square sqrt(2 dt / span) * lt_eps_coeff, which
+            # overflows on a full step from lt_eps_coeff = 9.5e153 on: 1e150
+            # keeps every step longer than 1e-8 dt clear
+            raise ConfigError(f"lt_eps_coeff must lie in (0, 1e150] and give a positive "
                               f"band half-width, got {self.lt_eps_coeff}")
         if self.gate_multiplier <= 0.0:
             raise ConfigError("gate_multiplier must be positive")

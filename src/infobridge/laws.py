@@ -148,10 +148,12 @@ def _scaled_survivor_integrand(s, x, ctx):
         fv = float(f(v))
         if fv == 0.0 or w <= 0.0:
             return 0.0
-        scale = 2.0 * math.pi * s * w
-        if scale == 0.0:
-            raise DomainError(f"time {s} is too close to 0 for a representable law")
-        return math.sqrt(v / scale) * math.exp(-x2 / (2.0 * w)) * fv
+        try:
+            return math.sqrt(v / (2.0 * math.pi * s * w)) * math.exp(-x2 / (2.0 * w)) * fv
+        except ZeroDivisionError:  # 2 pi s w underflowed to 0
+            if math.exp(-x2 / (2.0 * w)) == 0.0:
+                return 0.0
+            raise DomainError(f"time {s} is too close to 0 for a representable law") from None
 
     return integrand
 

@@ -166,6 +166,13 @@ def full_grid_tanaka(path, x, monotone=True):
     return np.maximum.accumulate(raw) if monotone else raw
 
 
+def indicator_curve(path):
+    """Default indicator H on the path grid: 1 from the first knot at or
+    after the default time on, the right end of the partial step that ends
+    at the default."""
+    return (path.grid.knots >= path.tau).astype(float)
+
+
 def full_grid_compensator(lt_values, weights):
     return np.concatenate([[0.0], np.cumsum(weights[:-1] * np.diff(lt_values))])
 

@@ -13,6 +13,7 @@ with standard errors use the 3-sigma convention throughout.
 import math
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,7 +79,10 @@ def ctx_exp():
 
 @pytest.fixture(scope="module")
 def headline_runs(tmp_path_factory):
-    """Two identical compensator runs with different worker counts."""
+    """Two identical compensator runs with different worker counts.  The
+    count from INFOBRIDGE_WORKERS is capped at the CPU count, so the CPU
+    count is raised to 3 here: on a smaller host both runs would use the
+    same number of workers."""
     base = tmp_path_factory.mktemp("headline")
     cfg = base / "run.cfg"
     cfg.write_text(HEADLINE_CFG)
@@ -87,7 +91,8 @@ def headline_runs(tmp_path_factory):
         out = str(base / name)
         os.environ["INFOBRIDGE_WORKERS"] = str(workers)
         try:
-            codes.append(main(["compensator", "--config", str(cfg), "--out", out]))
+            with mock.patch.object(os, "cpu_count", lambda: 3):
+                codes.append(main(["compensator", "--config", str(cfg), "--out", out]))
         finally:
             os.environ.pop("INFOBRIDGE_WORKERS", None)
         outs.append(out)

@@ -302,3 +302,34 @@ def test_non_integer_worker_count_is_config_error(tmp_path, monkeypatch, capsys)
     cfg = _compensator_cfg(tmp_path, paths="200")
     assert main(["compensator", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert "INFOBRIDGE_WORKERS" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_io_error_before_the_run(tmp_path, monkeypatch):
+    # the output directory is checked before any path is sampled
+    import infobridge.cli as cli
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_ensemble", ran)
+    monkeypatch.setattr(cli, "sample_path_direct", ran)
+    plain = tmp_path / "plain_file"
+    plain.write_text("not a directory\n")
+    cfg = _compensator_cfg(tmp_path, kh="0.1")
+    for command in ("compensator", "convergence"):
+        for out in (plain / "out", plain / "a" / "b", plain):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert plain.read_text() == "not a directory\n"
+
+
+def test_survival_close_to_time_zero(tmp_path):
+    # the Gaussian factor underflows on the nodes where the time would not
+    # be representable, so t = 1e-300 is computed; 5e-324 is not
+    base = ["survival", "--dist", "exp:1.0", "--dt", "0.5", "--t-max", "2", "--x", "1"]
+    out = tmp_path / "tiny"
+    assert main(base + ["--t", "1e-300", "--out", str(out)]) == 0
+    us, ps = _survival_rows(str(out))
+    assert us[0] == 1e-300 and ps[0] == 1.0 and np.all((ps[1:] > 0.0) & (ps[1:] < 1.0))
+    out = tmp_path / "subnormal"
+    assert main(base + ["--t", "5e-324", "--out", str(out)]) == 2
+    assert not out.exists()

@@ -9,7 +9,6 @@ from infobridge.cli import _gate_lines
 from infobridge.compensator import (
     averaged_gaussian_kernel,
     compensator_curve,
-    indicator_curve,
     laplacian_approximation,
     window_survivor,
 )
@@ -34,6 +33,8 @@ from infobridge.paths import (
     sample_path_direct,
 )
 from infobridge.quadrature import integrate_finite
+
+from oracles import indicator_curve
 
 # Frozen closed forms: average over u in (0,h] of E[cos(N(0,u))] is
 # 2 (1 - exp(-h/2)) / h.

@@ -103,6 +103,17 @@ def test_base_validation(kwargs):
         RunConfig(**kwargs).validate()
 
 
+def test_band_coefficient_is_bounded_only_for_the_occupation_estimator():
+    # tanaka runs never read the band half-width
+    RunConfig(lt_estimator="tanaka", lt_eps_coeff=1e300).validate()
+    RunConfig(lt_estimator="tanaka", lt_eps_coeff=5e-324).validate()
+    RunConfig(lt_eps_coeff=1e150).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(lt_eps_coeff=1.01e150).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(lt_estimator="tanaka", lt_eps_coeff=-1.0).validate()
+
+
 def test_report_times_checked_for_compensator():
     cfg = RunConfig(dt=0.01, t_max=1.0, report_times=(0.5, 2.0),
                     residual_pairs=(), functionals=("one",))

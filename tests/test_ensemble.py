@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from infobridge import ensemble
-from infobridge.compensator import build_curve, indicator_curve
+from infobridge.compensator import build_curve
 from infobridge.config import RunConfig
 from infobridge.distributions import DefaultDistribution, parse_distribution
 from infobridge.ensemble import (
@@ -27,6 +27,8 @@ from infobridge.errors import DomainError, InsufficientPaths
 from infobridge.laws import ModelContext
 from infobridge.localtime import occupation_estimate
 from infobridge.paths import RandomStream, TimeGrid, sample_path_direct
+
+from oracles import indicator_curve
 
 
 CFG = RunConfig(dist="exp:1.0", dt=0.01, t_max=1.5, paths=300, seed=314,
@@ -51,10 +53,13 @@ def table(job):
     return run_ensemble(job, CFG.paths, workers=1)
 
 
-def test_worker_count_invariance(job, table):
-    other = run_ensemble(job, CFG.paths, workers=3)
+def test_worker_count_invariance(job):
+    # 1100 paths are three chunks, so the pool runs three workers; an
+    # explicit count is not capped at the CPUs
+    one = run_ensemble(job, 1100, workers=1)
+    three = run_ensemble(job, 1100, workers=3)
     for name in ("tau", "H", "K", "beta"):
-        assert np.array_equal(getattr(table, name), getattr(other, name))
+        assert np.array_equal(getattr(one, name), getattr(three, name))
 
 
 def test_worker_count_from_environment_is_capped_at_cpus(monkeypatch):

@@ -171,6 +171,16 @@ def test_band_credits_lie_between_zero_and_span(log_span, log_coeff, x, seed):
     assert np.all(credits <= spans)
 
 
+def test_widest_configurable_band_does_not_overflow(ctx_exp):
+    # RunConfig admits lt_eps_coeff up to 1e150; a RuntimeWarning fails here
+    for dt in (0.25, 0.005):
+        grid = TimeGrid.regular(1.0, dt)
+        for i in range(20):
+            p = sample_path_direct(ctx_exp, grid, RandomStream(31, i))
+            lt = occupation_estimate(p, 0.0, 1e150 * dt ** 0.5)
+            assert np.all(np.isfinite(lt.values)) and np.all(lt.values >= 0.0)
+
+
 @pytest.mark.parametrize("ratio", [1e-300, 1e-3, 0.02, 100.0, 1e300])
 def test_credit_table_above_node_cap_is_domain_error(ratio):
     # epsilon / sqrt(span) alone sets the node count; 0.02 would need 2167
