@@ -59,16 +59,19 @@ def compensator_curve(path, lt, weights):
     on.  The sum runs over the path's ``live_steps`` only; K keeps its value
     from the knot that ends the step holding the default time on.
 
-    ``lt`` must be a local-time curve at level 0 on the same grid.
+    ``lt`` must be a local-time curve at level 0 on the same grid; on a
+    batch of paths, one row per path.
     """
     if lt.x != 0.0:
         raise DomainError(f"compensator needs the local time at level 0, got {lt.x}")
     if lt.values.shape != path.beta.shape or not (
             lt.grid is path.grid or np.array_equal(lt.grid.knots, path.grid.knots)):
         raise DomainError("local-time curve lives on a different grid")
-    n = path.live_steps
-    incr = weights[:n] * np.diff(lt.values[:n + 1])
-    return path.stopped(np.concatenate([[0.0], np.cumsum(incr)]))
+    w, _ = path.live
+    incr = weights[:w] * np.diff(lt.values[..., :w + 1], axis=-1)
+    head = np.zeros(incr.shape[:-1] + (w + 1,))
+    np.cumsum(incr, axis=-1, out=head[..., 1:])
+    return path.stopped(head)
 
 
 def _window_knots(path, ctx):

@@ -2,15 +2,21 @@
 
 A job bundles everything one path needs (context, grid, precomputed
 compensator weights, drift table, probe times); workers map fixed-size
-chunks of path indices to blocks of per-path statistics.  Each recorded
-group (H, K and K^h at ``times``, beta at ``s_nodes``, b at ``b_nodes``, its
-quadratic variation at ``qv_nodes``, each ``lt_probe`` time) reads the path
-only up to its last knot: ``run_ensemble`` maps every recorded time to its
-knot once per run (``_KnotPlan``) and the curves of a group are computed on
-the path's head ending there.  b and its quadratic variation are recorded
-only with a drift table, and b is recovered only for a job that records
-either of them.  Path ``i`` always uses the stream keyed by (master seed,
-i), chunk boundaries do not depend on the worker count, and blocks are
+chunks of path indices to blocks of per-path statistics.  A chunk draws each
+path from its own stream and runs its paths in sub-batches of at most
+``quadrature.TILE_ELEMENTS`` knots (rows x grid knots), each one (rows x
+knots) ``InformationPath`` and one call per stage (local time, compensator,
+b, its quadratic variation, the probes); a long path runs alone.  Each
+recorded group (H, K and K^h at ``times``, beta at ``s_nodes``, b at
+``b_nodes``, its quadratic variation at ``qv_nodes``, each ``lt_probe``
+time) reads the paths only up to its last knot: ``run_ensemble`` maps every
+recorded time to its knot once per run (``_KnotPlan``) and the curves of a
+group are computed on the head of the sub-batch ending there.  K^h runs per
+path.  b and its quadratic variation are recorded only with a drift table,
+and b is recovered only for a job that records either of them.  Every row
+of a batched stage has the bits of that path run alone (``paths`` says
+why).  Path ``i`` always uses the stream keyed by (master seed, i), chunk
+and sub-batch boundaries do not depend on the worker count, and blocks are
 written back by chunk index, so the assembled arrays — and every CSV
 derived from them — are bit-identical no matter how many processes run the
 job.
@@ -31,6 +37,7 @@ from .compensator import compensator_curve, laplacian_approximation, window_surv
 from .errors import ConfigError, DomainError, InsufficientPaths
 from .localtime import BandCreditTable, occupation_estimate, tanaka_estimate
 from .paths import InformationPath, RandomStream, TimeGrid, sample_path_direct
+from .quadrature import row_tiles
 
 __all__ = [
     "EnsembleJob",
@@ -165,11 +172,10 @@ class _Knots:
             grid = TimeGrid(grid.knots[:end])
         return cls(index, grid)
 
-    def head(self, path):
-        """``path`` up to this group's last knot, with the same default time."""
-        if self.grid is path.grid:
-            return path
-        return InformationPath(path.tau, self.grid, path.beta[:len(self.grid.knots)])
+    def head(self, tau, beta):
+        """The path ``(tau, beta)`` up to this group's last knot, with the
+        same default time; ``beta`` may hold one path per row."""
+        return InformationPath(tau, self.grid, beta[..., :len(self.grid.knots)])
 
 
 @dataclass(frozen=True)
@@ -203,42 +209,51 @@ class _KnotPlan:
                    lt_probe=tuple(_Knots.of(grid, (t,)) for t, _ in job.lt_probe))
 
 
-def _path_row(job, plan, i, block, k):
-    """Record the statistics of path ``i`` in row ``k`` of ``block``.
+def _record_rows(job, plan, batch, block, rows):
+    """Record the statistics of the sampled paths ``batch`` in rows ``rows``
+    of ``block``.
 
-    Every curve here is a running sum or maximum, so its value at a knot
-    depends on the steps before that knot alone: each recorded group is
-    computed on the head of the path that ends at the group's last knot
-    (``plan``) and read there, with the bits of the whole-grid curve.
+    The paths go through each stage as one (rows x knots) batch, a lone path
+    as itself.  Every curve here is a running sum or maximum, so its value
+    at a knot depends on the steps before that knot alone: each recorded
+    group is computed on the head of the batch that ends at the group's
+    last knot (``plan``) and read there, with the bits of the whole-grid
+    curve of each path.  K^h stays per path: its panel work does not shrink
+    with the batch.
     """
-    path = sample_path_direct(job.ctx, job.grid, RandomStream(job.master_seed, i))
-    block["tau"][k] = path.tau
-    block["H"][k] = np.asarray(job.times) >= path.tau
-    block["beta"][k] = path.beta[plan.s_nodes.index]
+    if len(batch) == 1:
+        tau, beta = batch[0].tau, batch[0].beta
+    else:
+        tau, beta = np.array([p.tau for p in batch]), np.stack([p.beta for p in batch])
+    block["tau"][rows] = tau
+    block["H"][rows] = np.asarray(job.times) >= np.asarray(tau)[..., None]
+    block["beta"][rows] = beta[..., plan.s_nodes.index]
     if job.times:
-        head = plan.times.head(path)
+        head = plan.times.head(tau, beta)
         if job.estimator == "tanaka":
             lt = tanaka_estimate(head, 0.0)
         else:
             lt = occupation_estimate(head, 0.0, job.eps,
                                      credit_table=job.credit_table)
         t_idx = plan.times.index
-        block["K"][k] = compensator_curve(head, lt, job.weights)[t_idx]
+        block["K"][rows] = compensator_curve(head, lt, job.weights)[..., t_idx]
         if job.kh:
-            survivor = window_survivor(head, job.ctx)
-            for a, h in enumerate(job.kh):
-                block["Kh"][k, a] = laplacian_approximation(head, h, job.ctx,
-                                                            survivor)[t_idx]
+            for k, p in enumerate(batch, rows.start):
+                path = plan.times.head(p.tau, p.beta)
+                survivor = window_survivor(path, job.ctx)
+                for a, h in enumerate(job.kh):
+                    block["Kh"][k, a] = laplacian_approximation(
+                        path, h, job.ctx, survivor)[t_idx]
     if job.b_nodes or job.qv_nodes:
-        b = paths.recover_b(plan.drift.head(path), job.drift_table)
-        block["b"][k] = b[plan.b_nodes.index]
+        b = paths.recover_b(plan.drift.head(tau, beta), job.drift_table)
+        block["b"][rows] = b[..., plan.b_nodes.index]
         if job.qv_nodes:
-            block["qv_b"][k] = paths.quadratic_variation(b)[plan.qv_nodes.index]
+            block["qv_b"][rows] = paths.quadratic_variation(b)[..., plan.qv_nodes.index]
     for a, ((_, x), probe) in enumerate(zip(job.lt_probe, plan.lt_probe)):
-        head = probe.head(path)
+        head = probe.head(tau, beta)
         j = probe.index[0]
-        block["lt_occ"][k, a] = occupation_estimate(head, x, job.eps).values[j]
-        block["lt_tan"][k, a] = tanaka_estimate(head, x).values[j]
+        block["lt_occ"][rows, a] = occupation_estimate(head, x, job.eps).values[..., j]
+        block["lt_tan"][rows, a] = tanaka_estimate(head, x).values[..., j]
 
 
 _JOB = None
@@ -251,10 +266,16 @@ def _set_job(job, plan):
 
 
 def _run_chunk(bounds):
+    """Statistics block of the paths ``range(*bounds)``, drawn in order and
+    recorded in sub-batches of at most ``quadrature.TILE_ELEMENTS`` knots."""
     start, stop = bounds
-    block = _empty_block(_JOB, stop - start)
-    for k, i in enumerate(range(start, stop)):
-        _path_row(_JOB, _PLAN, i, block, k)
+    job = _JOB
+    block = _empty_block(job, stop - start)
+    for rows in row_tiles(stop - start, len(job.grid.knots)):
+        batch = [sample_path_direct(job.ctx, job.grid,
+                                    RandomStream(job.master_seed, start + k))
+                 for k in range(rows.start, rows.stop)]
+        _record_rows(job, _PLAN, batch, block, rows)
     return start, block
 
 

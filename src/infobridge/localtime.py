@@ -76,7 +76,7 @@ def _band_time_credits(a, b, spans, x, epsilon):
     hi = np.maximum(a, b)
     gap = np.maximum(np.maximum(lo - (x + epsilon), (x - epsilon) - hi), 0.0)
     live = gap * gap <= _CROSSING_REACH2 * spans
-    credits = np.zeros(len(spans))
+    credits = np.zeros(spans.shape)
     if not live.any():
         return credits
     a, b, spans = a[live], b[live], spans[live]
@@ -225,7 +225,9 @@ def occupation_estimate(path, x, epsilon, credit_table=None):
 
     Credits are computed only on the path's ``live_steps``, the steps whose
     left knot lies before the default time, with the lengths
-    ``path.spans``; the curve keeps its value after them.  With
+    ``path.spans``; the curve keeps its value after them.  On a batch of
+    paths the live steps of every row go through the credits in one call.
+    With
     ``credit_table`` (built for this ``epsilon``) the full-length steps are
     looked up, and the partial step and the steps that leave the table are
     computed exactly.
@@ -235,22 +237,25 @@ def occupation_estimate(path, x, epsilon, credit_table=None):
     if credit_table is not None and credit_table.epsilon != epsilon:
         raise DomainError(f"credit table is for epsilon {credit_table.epsilon}, "
                           f"not {epsilon}")
-    n = path.live_steps
-    spans = path.spans[:n]
-    a = path.beta[:n]
-    b = path.beta[1:n + 1]
+    w, live = path.live
+    spans = path.spans[..., :w][live]
+    a = path.beta[..., :w][live]
+    b = path.beta[..., 1:w + 1][live]
     if credit_table is not None:
         # every credit depends on its own step alone: look all steps up, then
         # compute the irregular ones and those leaving the table over their
         # table values
         credits, edge = credit_table.credit(a - x, b - x)
-        irr = np.flatnonzero(edge | (np.abs(spans - credit_table.span)
-                                     > 1e-9 * credit_table.span))
-        if len(irr):
+        irr = np.nonzero(edge | (np.abs(spans - credit_table.span)
+                                 > 1e-9 * credit_table.span))
+        if len(irr[0]):
             credits[irr] = _band_time_credits(a[irr], b[irr], spans[irr], x, epsilon)
     else:
         credits = _band_time_credits(a, b, spans, x, epsilon)
-    head = np.concatenate([[0.0], np.cumsum(credits / (2.0 * epsilon))])
+    steps = np.zeros(path.beta[..., :w].shape)
+    steps[live] = credits / (2.0 * epsilon)
+    head = np.zeros(steps.shape[:-1] + (w + 1,))
+    np.cumsum(steps, axis=-1, out=head[..., 1:])
     return LocalTimeCurve(float(x), path.grid, path.stopped(head))
 
 
@@ -262,16 +267,17 @@ def tanaka_estimate(path, x):
     from the default time on, so the sum runs over its ``live_steps`` and
     the curve keeps its value after them.
     """
-    n = path.live_steps
-    beta = path.beta[:n + 1]
+    w, _ = path.live
+    beta = path.beta[..., :w + 1]
     centered = beta - x
     sgn = np.where(centered > 0.0, 1.0, -1.0)
-    stoch = np.empty(n + 1)
-    stoch[0] = 0.0
-    np.cumsum(sgn[:-1] * (beta[1:] - beta[:-1]), out=stoch[1:])
-    raw = np.abs(centered) - abs(centered[0]) - stoch
+    stoch = np.empty(beta.shape)
+    stoch[..., 0] = 0.0
+    np.cumsum(sgn[..., :-1] * (beta[..., 1:] - beta[..., :-1]), axis=-1,
+              out=stoch[..., 1:])
+    raw = np.abs(centered) - np.abs(centered[..., :1]) - stoch
     return LocalTimeCurve(float(x), path.grid,
-                          path.stopped(np.maximum.accumulate(raw)))
+                          path.stopped(np.maximum.accumulate(raw, axis=-1)))
 
 
 def level_grid(path, dx):

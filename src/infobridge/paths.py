@@ -22,6 +22,16 @@ through that step, and the per-path curves (local time, compensator) are
 computed on the first ``InformationPath.live_steps`` steps and held
 constant after them (``InformationPath.stopped``).
 
+An ``InformationPath`` may also hold a batch of paths on one grid: ``tau``
+of shape (rows,) and ``beta`` of shape (rows, knots).  ``spans``,
+``stopped``, ``quadratic_variation``, ``recover_b``, the two local-time
+estimators and ``compensator_curve`` work along the last axis, so a single
+path is a batch of one.  Rows stop at different steps: a batch is computed
+up to its longest row's last live step, the elementwise kernels see only
+each row's own live steps (picked by mask), running sums and maxima run
+along each row in order, and every row is held from its own last live knot
+on, so each row has the bits of its single-path call.
+
 Randomness comes from counter-based streams: path ``i`` of master seed ``m``
 uses a Philox generator keyed by the 128-bit pair (m, i), so ensembles are
 reproducible path-by-path no matter how work is scheduled across processes.
@@ -105,7 +115,9 @@ class RandomStream:
 
 @dataclass(frozen=True)
 class InformationPath:
-    """One discretized realization of (default time, information process)."""
+    """One discretized realization of (default time, information process),
+    or a batch of them on one grid (``tau`` of shape (rows,), ``beta`` of
+    shape (rows, knots))."""
 
     tau: float
     grid: TimeGrid
@@ -113,13 +125,21 @@ class InformationPath:
 
     @cached_property
     def live_steps(self):
-        """Number of grid steps whose left knot lies before the default time.
+        """Number of grid steps whose left knot lies before the default time
+        (an array with one count per row for a batch).
 
         These steps, the last of them the one holding the default time (or
         the last grid step when the default lies beyond the horizon), are
         the only ones that move the path, its local time or its compensator.
         """
-        return int(np.searchsorted(self.grid.knots[:-1], self.tau))
+        n = np.searchsorted(self.grid.knots[:-1], self.tau)
+        return n if isinstance(n, np.ndarray) else int(n)
+
+    @cached_property
+    def live(self):
+        """``_steps_before(self.live_steps)``: the largest live-step count
+        and the index of every row's live steps in an array of that many."""
+        return _steps_before(self.live_steps)
 
     @cached_property
     def spans(self):
@@ -130,20 +150,19 @@ class InformationPath:
         shares the array.
         """
         knots = self.grid.knots
-        n = self.live_steps
-        out = np.zeros(len(knots) - 1)
-        out[:n] = np.minimum(knots[1:n + 1], self.tau) - knots[:n]
+        w, live = self.live
+        out = np.zeros(self.beta.shape[:-1] + (len(knots) - 1,))
+        cut = np.minimum(knots[1:w + 1], np.asarray(self.tau)[..., None]) - knots[:w]
+        out[..., :w][live] = cut[live]
         out.flags.writeable = False
         return out
 
     def stopped(self, head):
         """A curve on the path grid stopped at the default time: ``head``
-        holds its values on knots ``0 .. live_steps`` and the curve keeps
-        its last value after them."""
-        out = np.empty(len(self.grid.knots))
-        out[:len(head)] = head
-        out[len(head):] = head[-1]
-        return out
+        holds its values on knots ``0 .. live_steps`` (on a batch, each row
+        up to its own count, the batch up to the largest) and the curve
+        keeps each row's value at its count after it."""
+        return _held(head, self.live_steps, self.live[1], len(self.grid.knots))
 
     def validate(self):
         """Check the exact-zero encoding of the default state."""
@@ -156,6 +175,35 @@ class InformationPath:
         before = self.beta[(k > 0.0) & (k < self.tau)]
         if before.size and np.any(before == 0.0):
             raise AssertionError("exact zero before the default time")
+
+
+def _steps_before(n):
+    """The first ``n`` steps of each path, for a count ``n`` per path (an
+    int, or an array with one count per row of a batch).
+
+    Returns the largest count ``w`` and the index of those steps in an
+    array of ``w`` steps per row: ``...`` when every row has all ``w`` of
+    them, else a mask.
+    """
+    if not isinstance(n, np.ndarray):
+        return int(n), ...
+    w = int(n.max())
+    return w, (... if n.min() == w else np.arange(w) < n[:, None])
+
+
+def _held(head, n, live, width):
+    """``head`` on knots ``0 .. n`` of each row, then its value at ``n``,
+    on ``width`` knots; ``live`` is ``_steps_before(n)[1]``."""
+    out = np.empty(head.shape[:-1] + (width,))
+    k = head.shape[-1]  # one knot more than the largest count
+    out[..., :k] = head
+    if live is ...:
+        out[..., k:] = head[..., -1:]
+    else:
+        last = np.take_along_axis(head, n[:, None], axis=-1)
+        out[..., k:] = last
+        np.copyto(out[..., 1:k], last, where=~live)  # knots after a row's steps
+    return out
 
 
 def _generator_of(rng):
@@ -221,11 +269,12 @@ def sample_path_given_tau(r, ctx, grid, rng):
 
 def quadratic_variation(values):
     """Running sum of squared increments of a curve's knot values, such as
-    ``path.beta`` or ``recover_b``'s b; flat from the default time on."""
-    d = values[1:] - values[:-1]
-    out = np.empty(len(values))
-    out[0] = 0.0
-    np.cumsum(d * d, out=out[1:])
+    ``path.beta`` or ``recover_b``'s b, along the last axis; flat from the
+    default time on."""
+    d = values[..., 1:] - values[..., :-1]
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    np.cumsum(d * d, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -246,19 +295,19 @@ def recover_b(path, drift_table):
     alone and summed into the output, which keeps the sum from the default
     time on.  A caller that reads b only up to some knot may pass the path's
     head ending there (same default time, the grid cut at that knot) and
-    gets the same values on its knots.
+    gets the same values on its knots.  On a batch, each row is its own path.
     """
     knots = path.grid.knots
-    beta = path.beta
-    m = int(np.searchsorted(knots[1:], path.tau))  # full steps before tau
-    out = np.empty(len(knots))
-    out[0] = 0.0
-    if m:
-        u = drift_table.evaluate(knots[:m], beta[:m])
-        np.cumsum(u * (knots[1:m + 1] - knots[:m]), out=out[1:m + 1])
-    out[m + 1:] = out[m]
-    out += beta
-    return out
+    m = np.searchsorted(knots[1:], path.tau)  # full steps before tau, per row
+    w, full = _steps_before(m)
+    beta = path.beta[..., :w]
+    left = np.broadcast_to(knots[:w], beta.shape)[full]
+    width = np.broadcast_to(knots[1:w + 1] - knots[:w], beta.shape)[full]
+    incr = np.zeros(beta.shape)
+    incr[full] = drift_table.evaluate(left, beta[full]) * width
+    head = np.zeros(beta.shape[:-1] + (w + 1,))
+    np.cumsum(incr, axis=-1, out=head[..., 1:])
+    return _held(head, m, full, len(knots)) + path.beta
 
 
 def restrict_path(path, coarse_grid):

@@ -19,8 +19,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy import integrate as _integrate
-
 from .errors import DomainError, NonConvergence
 
 __all__ = ["QuadratureSpec", "integrate_finite", "integrate_semi_infinite",
@@ -68,10 +66,14 @@ class QuadratureSpec:
 
 def _quad(f, a, b, spec, points=None):
     """Adaptive quadrature on [a, b]; raises NonConvergence on a bad estimate."""
+    # imported on first use: scipy.integrate holds about 26 MB, and a run
+    # that only samples paths never calls it
+    from scipy import integrate
+
     points = sorted(p for p in points or () if a < p < b) or None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = _integrate.quad(
+        out = integrate.quad(
             f, a, b,
             epsabs=spec.abs_tol,
             epsrel=spec.rel_tol,

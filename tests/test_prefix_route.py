@@ -27,6 +27,7 @@ from infobridge.ensemble import EnsembleJob, EnsembleTable, run_ensemble
 from infobridge.errors import DomainError
 from infobridge.laws import DriftTable, ModelContext, compensator_weights
 from infobridge.localtime import BandCreditTable, occupation_estimate, tanaka_estimate
+from infobridge.quadrature import TILE_ELEMENTS
 from infobridge.paths import (
     RandomStream,
     TimeGrid,
@@ -150,23 +151,30 @@ def test_normals_are_a_prefix_of_a_longer_draw():
 # recorded groups read on the path's head
 # ---------------------------------------------------------------------------
 
-def _rows_match(job, paths, monkeypatch):
-    """Run ``job`` serially on ``paths`` and compare every table array with
-    the whole-grid readout of each path."""
+_ROW_FIELDS = [f.name for f in fields(EnsembleTable) if "dims" in f.metadata]
+
+
+def _run_on(job, paths, monkeypatch):
+    """``job`` run serially with ``paths`` as its sampled paths."""
     monkeypatch.setattr(ensemble, "sample_path_direct",
                         lambda ctx, grid, rng: paths[rng.path_index])
-    table = run_ensemble(job, len(paths), workers=1)
+    return run_ensemble(job, len(paths), workers=1)
+
+
+def _rows_match(job, paths, monkeypatch):
+    """Run ``job`` serially on ``paths``, compare every table array with the
+    whole-grid readout of each path, and return the table."""
+    table = _run_on(job, paths, monkeypatch)
     for i, path in enumerate(paths):
         want = full_curve_row(job, path)
-        for f in fields(EnsembleTable):
-            if "dims" not in f.metadata:
-                continue
-            got = getattr(table, f.name)[i]
-            if f.name in want:
-                ref = np.asarray(want[f.name], dtype=float).reshape(got.shape)
+        for name in _ROW_FIELDS:
+            got = getattr(table, name)[i]
+            if name in want:
+                ref = np.asarray(want[name], dtype=float).reshape(got.shape)
                 _same(got, ref)
             else:
-                assert got.size == 0, f.name
+                assert got.size == 0, name
+    return table
 
 
 def _job(ctx, grid, estimator, **recorded):
@@ -196,16 +204,23 @@ def _defaults_around(dist, knots, recorded):
     return us
 
 
+def _irregular_grid(dist):
+    """A 43-knot grid on [0, 2] with two knots that are exact quantiles, so
+    a default can fall on them; returns the grid, those knots and their
+    uniforms."""
+    u1, u2 = float(dist.cdf_F(0.62)), float(dist.cdf_F(1.13))
+    r1, r2 = dist.quantile(u1), dist.quantile(u2)
+    grid = TimeGrid(np.unique(np.concatenate([np.linspace(0.0, 2.0, 41), [r1, r2]])))
+    return grid, (r1, r2), (u1, u2)
+
+
 @pytest.mark.parametrize("law,estimator", [("gamma:2,2", "tanaka"),
                                            ("exp:1.0", "occupation")])
 def test_recorded_groups_read_on_heads(law, estimator, monkeypatch):
     ctx = ModelContext(parse_distribution(law))
     dist = ctx.dist
-    # two knots that are exact quantiles, so a default can fall on them
-    u1, u2 = float(dist.cdf_F(0.62)), float(dist.cdf_F(1.13))
-    r1, r2 = dist.quantile(u1), dist.quantile(u2)
-    knots = np.unique(np.concatenate([np.linspace(0.0, 2.0, 41), [r1, r2]]))
-    grid = TimeGrid(knots)
+    grid, (r1, r2), (u1, u2) = _irregular_grid(dist)
+    knots = grid.knots
     first = float(knots[1])
     recorded = (first, 0.5, r1, r2, 2.0)
     us = _defaults_around(dist, knots, recorded) + [u1, u2]
@@ -243,6 +258,47 @@ def test_recorded_groups_on_a_restricted_grid(monkeypatch):
         _rows_match(_job(ctx, coarse, estimator, **recorded), paths, monkeypatch)
 
 
+def _batched_paths(ctx, grid, sample, seed):
+    """Paths filling two sub-batches of a chunk and part of a third; the
+    first three rows of the second sub-batch default at time 0, exactly on
+    an interior knot and beyond the horizon."""
+    per_batch = TILE_ELEMENTS // len(grid.knots)
+    edges = [sample(_StubGen(u, seed + k)) for k, u in
+             enumerate((0.0, _u_on_knot(ctx.dist, grid.knots), 1.0 - 1e-6))]
+    assert edges[0].live_steps == 0 and edges[1].tau in grid.knots
+    assert edges[2].tau > grid.t_max
+    paths = [sample(RandomStream(seed, i)) for i in range(2 * per_batch + 37)]
+    paths[per_batch:per_batch + 3] = edges
+    return paths
+
+
+@pytest.mark.parametrize("estimator", ["tanaka", "occupation"])
+@pytest.mark.parametrize("grid_kind", ["irregular", "restricted"])
+def test_rows_do_not_depend_on_their_sub_batch(grid_kind, estimator, monkeypatch):
+    # Enough paths for several sub-batches: each row equals its whole-grid
+    # readout, and the same paths run in another order give the same rows.
+    ctx = ModelContext(parse_distribution("gamma:2,2"))
+    if grid_kind == "irregular":
+        grid, (r1, r2), _ = _irregular_grid(ctx.dist)
+        paths = _batched_paths(ctx, grid, lambda rng: sample_path_direct(ctx, grid, rng), 60)
+    else:
+        fine = TimeGrid.regular(2.0, 0.01)
+        grid = TimeGrid(fine.knots[sorted(set(range(0, 201, 4)) | {3, 11, 51, 77, 199})])
+        r1, r2 = float(grid.knots[13]), float(grid.knots[27])
+        paths = _batched_paths(
+            ctx, grid, lambda rng: restrict_path(sample_path_direct(ctx, fine, rng), grid), 61)
+    assert len(paths) > 2 * TILE_ELEMENTS // len(grid.knots)
+    mid, end = float(grid.knots[len(grid.knots) // 4]), grid.t_max
+    job = _job(ctx, grid, estimator, times=(mid, r1, end), s_nodes=(r1,),
+               b_nodes=(mid, r2), qv_nodes=(r1,),
+               lt_probe=((r1, 0.0), (r2, 0.2), (end, -0.1)))
+    table = _rows_match(job, paths, monkeypatch)
+    order = np.random.default_rng(7).permutation(len(paths))
+    shuffled = _run_on(job, [paths[i] for i in order], monkeypatch)
+    for name in _ROW_FIELDS:
+        _same(getattr(shuffled, name), getattr(table, name)[order])
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("group", ["b_nodes", "qv_nodes", "lt_probe"])
 def test_off_grid_recorded_time_raises_before_any_path(group, workers, monkeypatch):
@@ -254,9 +310,9 @@ def test_off_grid_recorded_time_raises_before_any_path(group, workers, monkeypat
     job = replace(job, **{group: value})
 
     def no_path(*args):
-        raise AssertionError("a path ran")
+        raise AssertionError("a path was sampled")
 
-    monkeypatch.setattr(ensemble, "_path_row", no_path)
+    monkeypatch.setattr(ensemble, "sample_path_direct", no_path)
     with pytest.raises(DomainError, match="not a grid knot"):
         run_ensemble(job, 1024, workers=workers)
 
