@@ -10,9 +10,10 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .ensemble import parse_functional
+from .ensemble import EnsembleReport, parse_functional
 from .errors import ConfigError, DomainError
 from .paths import TimeGrid
+from .quadrature import QuadratureSpec
 
 __all__ = ["RunConfig", "FIELD_TYPES", "parse_config_file", "load_config"]
 
@@ -24,16 +25,16 @@ class RunConfig:
     t_max: float = 2.0
     paths: int = 1000
     seed: int = 0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    tail_cutoff_mass: float = 1e-9
+    rel_tol: float = QuadratureSpec.rel_tol
+    abs_tol: float = QuadratureSpec.abs_tol
+    tail_cutoff_mass: float = QuadratureSpec.tail_cutoff_mass
     lt_estimator: str = "occupation"
     lt_eps_coeff: float = 1.0
     kh: tuple[float, ...] = ()
     report_times: tuple[float, ...] = (0.5, 1.0, 2.0)
     residual_pairs: tuple[tuple[float, float], ...] = ((0.25, 0.75), (0.5, 1.0), (1.0, 2.0))
     functionals: tuple[str, ...] = ("one", "indicator_beta_above:0.2", "abs_beta")
-    gate_multiplier: float = 3.0
+    gate_multiplier: float = EnsembleReport.gate_multiplier
     out: str = "."
     zero_k: bool = False
 

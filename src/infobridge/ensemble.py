@@ -429,7 +429,7 @@ def _check_paths(n):
 
 
 def summarize_table(table, ctx, report_times, residual_matrix=(),
-                    functionals=("one",), gate_multiplier=3.0):
+                    functionals=("one",), gate_multiplier=EnsembleReport.gate_multiplier):
     """EnsembleReport from a statistics table at the report times.
 
     ``residual_matrix`` is a sequence of (s, t) pairs; every functional spec

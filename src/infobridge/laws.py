@@ -39,21 +39,22 @@ t_cut on, and the compensator weight is 0 at s = 0 (it vanishes like sqrt(s)
 there) and from t_cut on.  Two evaluation routes exist: scalar adaptive
 quadrature through ``_tail`` (the reference used by the public operations)
 and a fixed-rule Gauss-Legendre panel scheme vectorized over grid knots,
-with one layout (``_tail_layout``) and one integrand kernel
-(``_panel_terms``).  ``SurvivorPanels`` is the panel route's survivor entry:
-the compensator weights and the survivor of the window rates read it.  The
+with one layout (``_tail_layout``, whose panels start where the support of
+f starts) and one integrand kernel (``_panel_sums``), which returns each
+row's sums.  ``SurvivorPanels`` is the panel route's survivor entry: the
+compensator weights and the survivor of the window rates read it.  The
 window numerator over (s, s + h) is not a third integral: it is a partial
 sum of the survivor's own panels plus one panel up to s + h.  The drift
-table takes survivor and drift terms from one kernel pass per column.  The
-two routes are cross-checked in the test suite.
+table takes survivor and drift sums from one kernel call per level column
+and row group.  The two routes are cross-checked in the test suite.
 
-Every panel kernel runs in row tiles of at most ``quadrature.TILE_ELEMENTS``
-(rows x nodes) elements, 64 KiB per temporary, and writes each tile's row
-sums into outputs allocated once.  A window path's survivor spans about 36k
-(rows x nodes) elements and the weights on a fine grid millions; whole
-arrays that size lie above the allocator's mmap threshold and would be
-mapped and page-faulted afresh on every call.  Each row sums the same nodes
-in the same order whatever the tiling, so the results do not depend on it.
+The kernel runs in row tiles of at most ``quadrature.TILE_ELEMENTS`` (rows x
+nodes) elements, 64 KiB per temporary, and writes each tile's row sums into
+outputs allocated once.  A window path's survivor spans about 36k (rows x
+nodes) elements and the weights on a fine grid millions; whole arrays that
+size lie above the allocator's mmap threshold and would be mapped and
+page-faulted afresh on every call.  Each row sums the same nodes in the same
+order whatever the tiling, so the results do not depend on it.
 """
 
 import math
@@ -80,9 +81,6 @@ __all__ = [
     "SurvivorPanels",
     "DriftTable",
 ]
-
-_POSTERIOR_FLUSH = 1e-300
-
 
 @dataclass(frozen=True)
 class ModelContext:
@@ -257,7 +255,7 @@ def _log_scaled_bridge(t, r, x):
 def posterior_density(t, r, x, ctx):
     """A-posteriori density of tau at r given information value x at t < tau.
 
-    Zero for r <= t.  Values that would underflow past 1e-300 are flushed to
+    Zero for r <= t.  Values below exp(-690), about 2e-300, are flushed to
     exact zero rather than left subnormal.
     """
     ctx._check_interior_time(t, "t")
@@ -268,10 +266,7 @@ def posterior_density(t, r, x, ctx):
         return 0.0
     log_post = (_log_scaled_bridge(t, r, x) + math.log(fr)
                 - math.log(_survivor_denominator(t, x, ctx)))
-    if log_post < -690.0:
-        return 0.0
-    val = math.exp(log_post)
-    return 0.0 if val < _POSTERIOR_FLUSH else val
+    return 0.0 if log_post < -690.0 else math.exp(log_post)
 
 
 def conditional_expectation(g_of_tau, t, x, ctx, g_breakpoints=None):
@@ -368,62 +363,75 @@ def _panel_edges(lo, hi, n_panels):
     return lo + (hi - lo) * np.linspace(0.0, 1.0, n_panels + 1)[None, :]
 
 
-def _panel_terms(edges, log, s_rows, x_rows, f, reversion=False):
-    """Weighted integrand terms at the Gauss-Legendre nodes of the panels
-    between consecutive ``edges`` of each row (rows x 24 nodes per panel).
+def _panel_sums(edges, log, s, x, ctx, reversion=False):
+    """Row sums of the weighted integrand terms at the Gauss-Legendre nodes
+    of the panels between consecutive ``edges`` of each row (24 nodes per
+    panel): the survivor total and each panel's sum, or with ``reversion``
+    the survivor and drift totals.
 
     The panel variable is z, with v = s + z**2, or log z when ``log``.  The
     survivor terms are 2 sqrt(v / (2 pi s)) exp(-(x/z)^2 / 2) f(v) times the
-    node weight (and z on log panels).  With ``reversion`` the call returns
-    them together with the drift terms: the same products divided by z^2
-    (that is, v - s) before the node weights are applied.  Everything is
-    computed in place on a few (rows x nodes) buffers; each product keeps the
-    operand order of the plain expression, so sums over the same panels are
-    bit-identical.
+    node weight (and z on log panels); the drift terms are the same products
+    divided by z^2 (that is, v - s) before the node weights are applied.
+    Each row tile is computed in place on a few (rows x nodes) buffers; each
+    product keeps the operand order of the plain expression, so sums over
+    the same panels are bit-identical.
     """
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    n = edges.shape[0]
-    zn = half[:, :, None] * _GL_X[None, None, :]
-    zn += mid[:, :, None]
-    zn = zn.reshape(n, -1)
-    if log:
-        np.exp(zn, out=zn)
-    s_col = s_rows[:, None]
-    v = zn * zn
-    v += s_col
-    with np.errstate(divide="ignore", over="ignore"):
-        vals = v / (2.0 * math.pi * s_col)
-        np.sqrt(vals, out=vals)
-        vals *= 2.0
-        expo = x_rows[:, None] / zn
-        expo *= expo
-        expo *= -0.5
-        np.exp(expo, out=expo)
-        vals *= expo
-        vals *= f(v)
-        terms = [vals]
-        if reversion:
-            terms.append(np.divide(vals, np.multiply(zn, zn, out=expo), out=expo))
-    weights = np.multiply(half[:, :, None], _GL_W[None, None, :],
-                          out=v.reshape(half.shape + _GL_W.shape)).reshape(n, -1)
-    for t in terms:
-        t *= weights
+    n, n_panels = edges.shape[0], edges.shape[1] - 1
+    total = np.empty(n)
+    other = np.empty(n) if reversion else np.empty((n, n_panels))
+    for t in row_tiles(n, n_panels * _GL_X.size):
+        mid = 0.5 * (edges[t, 1:] + edges[t, :-1])
+        half = 0.5 * (edges[t, 1:] - edges[t, :-1])
+        zn = half[:, :, None] * _GL_X[None, None, :]
+        zn += mid[:, :, None]
+        zn = zn.reshape(len(half), -1)
         if log:
-            t *= zn
-    return tuple(terms) if reversion else vals
+            np.exp(zn, out=zn)
+        s_col = s[t, None]
+        v = zn * zn
+        v += s_col
+        with np.errstate(divide="ignore", over="ignore"):
+            vals = v / (2.0 * math.pi * s_col)
+            np.sqrt(vals, out=vals)
+            vals *= 2.0
+            expo = x[t, None] / zn
+            expo *= expo
+            expo *= -0.5
+            np.exp(expo, out=expo)
+            vals *= expo
+            vals *= ctx.dist.density_f(v)
+            terms = [vals]
+            if reversion:
+                terms.append(np.divide(vals, np.multiply(zn, zn, out=expo), out=expo))
+        weights = np.multiply(half[:, :, None], _GL_W[None, None, :],
+                              out=v.reshape(half.shape + _GL_W.shape)).reshape(len(half), -1)
+        for u in terms:
+            u *= weights
+            if log:
+                u *= zn
+        if reversion:
+            total[t], other[t] = (np.sum(u, axis=1) for u in terms)
+        else:
+            total[t] = np.sum(vals, axis=1)
+            other[t] = vals.reshape(-1, n_panels, _GL_X.size).sum(axis=2)
+    return total, other
 
 
 def _tail_layout(s, x, ctx):
     """Panels of the integrals over v = s + z**2 in (s, ctx.t_cut).
 
-    Rows with |x| effectively zero get linear panels in z; other rows get
-    log-spaced panels resolving the boundary layer of exp(-x^2/(2 z^2)) at
-    z ~ |x|.  Returns ``(rows, log, edges)`` per nonempty row group, with
-    ``rows`` a mask over the states; states from the cut on are in none.
+    Each row starts where f does, at z = sqrt(max(a - s, 0)) with a the
+    lower end of the law's support (0 for exp, gamma and lognormal), so no
+    panel straddles a jump of f there.  Rows with |x| effectively zero get
+    linear panels in z; other rows get log-spaced panels resolving the
+    boundary layer of exp(-x^2/(2 z^2)) at z ~ |x|.  Returns ``(rows, log,
+    edges)`` per nonempty row group, with ``rows`` a mask over the states;
+    states from the cut on are in none.
     """
     t_cut = ctx.t_cut
     live = s < t_cut
+    z_lo = np.sqrt(np.maximum(ctx.dist.quantile(0.0) - s[live], 0.0))
     z_hi = np.sqrt(t_cut - s[live])
     layer = np.abs(x[live]) / math.sqrt(2.0)
     lin = layer <= z_hi * 1e-8
@@ -431,8 +439,7 @@ def _tail_layout(s, x, ctx):
     if np.any(lin):
         rows = np.zeros(s.shape, dtype=bool)
         rows[live] = lin
-        groups.append((rows, False,
-                       _panel_edges(np.zeros(lin.sum()), z_hi[lin], _PANELS_LIN)))
+        groups.append((rows, False, _panel_edges(z_lo[lin], z_hi[lin], _PANELS_LIN)))
     logr = ~lin
     if np.any(logr):
         lo_w = np.log(layer[logr]) - _LAYER_DECADES
@@ -440,6 +447,8 @@ def _tail_layout(s, x, ctx):
         # If the boundary layer sits beyond the upper limit the integral is
         # effectively zero; integrate a short window under it anyway.
         lo_w = np.where(lo_w < hi_w - 1e-12, lo_w, hi_w - _UNDER_LAYER)
+        with np.errstate(divide="ignore"):  # log(0) = -inf leaves lo_w as it is
+            lo_w = np.maximum(lo_w, np.log(z_lo[logr]))
         rows = np.zeros(s.shape, dtype=bool)
         rows[live] = logr
         groups.append((rows, True, _panel_edges(lo_w, hi_w, _PANELS_LOG)))
@@ -451,7 +460,7 @@ class SurvivorPanels:
     """Scaled survivor densities at states (s, x), with the panels that sum
     to them: the one survivor entry of the panel route.
 
-    ``survivor`` is the sum of the survivor terms of ``_panel_terms`` over
+    ``survivor`` is the sum of the survivor terms of ``_panel_sums`` over
     the panels of ``_tail_layout``; states from the tail cut on get 0.  Per
     row group (linear panels in z, log panels in log z), ``groups`` keeps
     ``(rows, log, edges, below)``: the panel edges in the panel variable
@@ -473,14 +482,7 @@ class SurvivorPanels:
         survivor = np.zeros(s.shape)
         groups = []
         for rows, log, edges in _tail_layout(s, x, ctx):
-            s_g, x_g = s[rows], x[rows]
-            n, n_panels = edges.shape[0], edges.shape[1] - 1
-            total, panel = np.empty(n), np.empty((n, n_panels))
-            for t in row_tiles(n, n_panels * _GL_X.size):
-                terms = _panel_terms(edges[t], log, s_g[t], x_g[t], ctx.dist.density_f)
-                total[t] = np.sum(terms, axis=1)
-                panel[t] = terms.reshape(-1, n_panels, _GL_X.size).sum(axis=2)
-            survivor[rows] = total
+            survivor[rows], panel = _panel_sums(edges, log, s[rows], x[rows], ctx)
             below = np.zeros(edges.shape)
             np.cumsum(panel, axis=1, out=below[:, 1:])
             groups.append((rows, log, edges, below))
@@ -526,8 +528,9 @@ def hazard_window_rates(ctx, panels, h):
     survivor's own panels do at the tail cut.  The window stops at the tail
     cut like the survivor integral does: where s + h reaches it (the end of
     a bounded support) the numerator is the survivor itself and the rate is
-    exactly 1/h, with no panel straddling the edge of f.  The lag must be
-    positive and finite.
+    exactly 1/h, with no panel straddling the edge of f.  A window that ends
+    before the support of f starts holds no mass: its rate is 0.  The lag
+    must be positive and finite.
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"window lag must be positive and finite, got {h}")
@@ -549,11 +552,8 @@ def hazard_window_rates(ctx, panels, h):
         if log:  # the layer beyond the window's end, as in _tail_layout
             start = np.where(edges[:, 0] < target - 1e-12, start,
                              target - _UNDER_LAYER)
-        ends, x_part = np.stack([start, target], axis=1), x[rows][part]
-        last = np.empty(len(k))
-        for t in row_tiles(len(k), _GL_X.size):
-            last[t] = np.sum(_panel_terms(ends[t], log, s_part[t], x_part[t],
-                                          ctx.dist.density_f), axis=1)
+        last, _ = _panel_sums(np.stack([start, target], axis=1), log,
+                              s_part, x[rows][part], ctx)
         num[np.flatnonzero(rows)[part]] = below[i, k] + last
     return np.clip(_ratio(num, den) / h, 0.0, 1.0 / h)
 
@@ -566,9 +566,9 @@ class DriftTable:
     bilinear interpolation with odd reflection in x.  Built once per run
     configuration; it is the only drift source of the paths layer
     (``paths.recover_b`` interpolates it and never integrates per knot).
-    Each level column is one ``_panel_terms`` pass per row tile,
-    whose survivor and drift terms share the integrand evaluations; nodes
-    from the tail cut on get 0.  Every level must fall on log rows: a level
+    Each level column is one ``_panel_sums`` pass per row group, whose
+    survivor and drift terms share the integrand evaluations; nodes from the
+    tail cut on get 0.  Every level must fall on log rows: a level
     too small against the cut's z range raises ``DomainError``.
     """
 
@@ -599,14 +599,8 @@ class DriftTable:
             for rows, log, edges in _tail_layout(s_eval, x, ctx):
                 if not log:
                     raise DomainError("drift integral requires a nonzero level x")
-                s_g, x_g = s_eval[rows], x[rows]
-                den_g, num_g = np.empty(len(s_g)), np.empty(len(s_g))
-                for t in row_tiles(len(s_g), (edges.shape[1] - 1) * _GL_X.size):
-                    den_g[t], num_g[t] = (
-                        np.sum(terms, axis=1) for terms in _panel_terms(
-                            edges[t], log, s_g[t], x_g[t], ctx.dist.density_f,
-                            reversion=True))
-                den[rows], num[rows] = den_g, num_g
+                den[rows], num[rows] = _panel_sums(edges, log, s_eval[rows], x[rows],
+                                                   ctx, reversion=True)
             values[:, j] = _ratio(xj * num, den)
         return cls(s_nodes, x_nodes, values)
 

@@ -115,6 +115,23 @@ def test_survival_domain_errors(tmp_path):
     assert main(far + ["--dist", "uniform:0,2", "--t", "2"]) == 2
 
 
+def test_other_package_errors_exit_1(tmp_path, monkeypatch, capsys):
+    # a package error that is neither bad input nor bad i/o, here a
+    # quadrature that does not converge, exits 1 with its message
+    from infobridge import laws
+    from infobridge.errors import NonConvergence
+
+    def fails(*args):
+        raise NonConvergence("quadrature on [0, 1] did not converge")
+
+    monkeypatch.setattr(laws, "survival_probability", fails)
+    out = tmp_path / "out"
+    assert main(["survival", "--dist", "exp:1.0", "--dt", "0.5", "--t-max", "2",
+                 "--t", "0.5", "--x", "0.3", "--out", str(out)]) == 1
+    assert "error: quadrature on [0, 1] did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_survival_with_underflowing_survivor_exits_2(tmp_path):
     base = ["survival", "--dist", "exp:1.0", "--dt", "0.5", "--t-max", "2.5",
             "--t", "0.5", "--out", str(tmp_path)]

@@ -196,10 +196,35 @@ def test_table_validation():
         DefaultDistribution.from_table([-1.0, 1.0], [1.0, 1.0])
     for t, f in (([0.0, 1.0, 2.0], [1.0, math.nan, 1.0]),
                  ([0.0, 1.0, 2.0], [1.0, math.inf, 1.0]),
+                 ([0.0, 1.0, 2.0], [1.0, 1.0]),         # arrays that do not match
+                 ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),    # zero mass
                  ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]),
                  ([0.0, math.nan, 2.0], [1.0, 1.0, 1.0])):
         with pytest.raises(DomainError):
             DefaultDistribution.from_table(t, f)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DefaultDistribution("weibull", (1.0, 2.0)),
+    lambda: DefaultDistribution.exponential(0.0),
+    lambda: DefaultDistribution.exponential(-1.0),
+    lambda: DefaultDistribution.gamma(0.0, 1.0),
+    lambda: DefaultDistribution.gamma(2.0, -1.0),
+    lambda: DefaultDistribution.lognormal(0.0, 0.0),
+    lambda: DefaultDistribution.lognormal(0.0, -0.5),
+])
+def test_factories_reject_bad_parameters(make):
+    # an unknown kind, and a nonpositive rate, shape or sigma
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_table_file_with_another_header_is_config_error(tmp_path):
+    for header in ("time,density", "f,t", "t,g"):
+        path = tmp_path / "law.csv"
+        path.write_text(f"{header}\n0,1\n1,1\n")
+        with pytest.raises(ConfigError, match="header"):
+            DefaultDistribution.from_table_file(str(path))
 
 
 def test_parse_distribution():

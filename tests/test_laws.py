@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from infobridge.distributions import DefaultDistribution, parse_distribution
 from infobridge.errors import DomainError, NonConvergence
@@ -29,7 +29,12 @@ from infobridge.laws import (
     _scaled_survivor_integrand,
 )
 from infobridge.paths import TimeGrid
-from infobridge.quadrature import TILE_ELEMENTS, integrate_finite, integrate_semi_infinite
+from infobridge.quadrature import (
+    TILE_ELEMENTS,
+    QuadratureSpec,
+    integrate_finite,
+    integrate_semi_infinite,
+)
 
 # Frozen oracle values.  Riemann oracles: midpoint sums with 1e6 cells after
 # the substitution v = s + z^2 on z in (0, 20] (or the finite support).
@@ -439,9 +444,14 @@ def test_inverse_density_uniform_convergence_in_x(ctx_exp):
 
 # -- vectorized route agrees with the adaptive route -----------------------------
 
+# The panel route on every family, and on a uniform law whose support starts
+# at 1: its panels start there too, so none straddles the jump of f.
+_PANEL_LAWS = ("exp:1.0", "gamma:2,2", "lognormal:0,0.5", "uniform:0,3", "uniform:1,3")
+
+
 def test_scaled_survivor_grid_matches_adaptive(ctx_exp, ctx_unif):
     rng = np.random.default_rng(21)
-    for ctx in (ctx_exp, ctx_unif):
+    for ctx in (ctx_exp, ctx_unif, ModelContext(parse_distribution("uniform:1,3"))):
         hi = min(ctx.dist.t1, 3.0)
         s = rng.uniform(0.05, hi - 0.05, size=24)
         x = np.concatenate([np.zeros(6), rng.uniform(0.001, 5.0, size=18)])
@@ -453,19 +463,23 @@ def test_scaled_survivor_grid_matches_adaptive(ctx_exp, ctx_unif):
 
 def test_scaled_reversion_grid_matches_adaptive():
     # The drift table at its nodes, every sixth level from the last one down
-    # to 1e-3, against the adaptive drift.  On uniform:0,3 at s = 2.5 the
-    # top levels put the boundary layer 9.6-12.6 times beyond the cut's z
-    # range, where the panels' short window under the layer is off by up to
-    # 2.2e-5 relative.
+    # to 1e-3, against the adaptive drift.  The reference takes no absolute
+    # tolerance: on uniform:0,3 at s = 2.5 the top levels put the boundary
+    # layer 9.6-12.6 times beyond the cut's z range, where the scaled
+    # integrals are near 2e-73 and an absolute tolerance of 1e-12 lets the
+    # adaptive rule stop 2.2e-5 off.  On uniform:1,3 the table's panels
+    # start at the lower end of the support, 1, for the states before it.
     s = np.array([0.1, 0.5, 1.0, 1.7, 2.5])
     for law, tol in (("exp:1.0", 1e-7), ("gamma:2,2", 1e-7),
-                     ("lognormal:0,0.5", 1e-7), ("uniform:0,3", 5e-5)):
-        ctx = ModelContext(_LAWS[law])
+                     ("lognormal:0,0.5", 1e-7), ("uniform:0,3", 1e-7),
+                     ("uniform:1,3", 1e-8)):
+        ctx = ModelContext(parse_distribution(law))
+        ref = ModelContext(ctx.dist, QuadratureSpec(abs_tol=1e-300))
         table = DriftTable.build(ctx, s)
         for j in range(len(table.x_nodes) - 1, 0, -6):
             xj = float(table.x_nodes[j])
             for i, sv in enumerate(s):
-                exact = mean_reversion_drift(float(sv), xj, ctx)
+                exact = mean_reversion_drift(float(sv), xj, ref)
                 assert abs(table.values[i, j] - exact) < tol * max(abs(exact), 1e-6), \
                     (law, sv, xj)
 
@@ -513,6 +527,9 @@ def test_hazard_window_rates_match_scalar():
         ("gamma:2,2", (0.3, 1.0, 1.7, 1.2), (0.2, -3.2, 1.5, 0.05)),
         # the last two rows have s + h > t1, where the rate is 1/h
         ("uniform:0,3", (0.3, 1.7, 2.5, 2.95, 2.97), (0.2, -3.2, 1.0, 0.4, 0.3)),
+        # windows across the lower end of the support, at 1, on linear and
+        # log rows
+        ("uniform:1,3", (0.92, 0.92, 0.95, 0.3, 1.7), (0.0, 0.5, -2.0, 0.2, 1.0)),
     ]
     for spec, s, x in cases:
         ctx = ModelContext(parse_distribution(spec))
@@ -521,10 +538,13 @@ def test_hazard_window_rates_match_scalar():
         for sv, xv, rv in zip(s, x, rates):
             num, _ = integrate_semi_infinite(
                 _scaled_survivor_integrand(sv, xv, ctx),
-                sv, ctx.quad, truncation=min(sv + h, ctx.t_cut))
+                sv, ctx.quad, truncation=min(sv + h, ctx.t_cut),
+                interior_points=ctx.dist.breakpoints.tolist())
             slow = num / _scaled_survivor(sv, xv, ctx) / h
             assert abs(rv - slow) < 1e-6 * max(slow, 1e-9), (spec, sv, xv)
             assert 0.0 <= rv <= 1.0 / h
+            if sv + h < ctx.dist.quantile(0.0):
+                assert rv == 0.0, (spec, sv, xv)
 
 
 def test_hazard_window_rates_reject_bad_input(ctx_exp):
@@ -546,13 +566,12 @@ def test_hazard_window_consistent_with_indicator_expectation(ctx_exp):
     assert abs(rate - prob / h) < 1e-6 * max(prob / h, 1e-9)
 
 
-@pytest.mark.parametrize("law", ["exp:1.0", "gamma:2,2", "lognormal:0,0.5",
-                                 "uniform:0,3"])
+@pytest.mark.parametrize("law", _PANEL_LAWS)
 def test_survivor_panels_match_tail_grid(law):
     # On linear rows (|x| <= 1e-9), log rows and layers beyond the cut, the
     # sums below each row's top edge add up the survivor's panels in another
     # order.
-    ctx = ModelContext(_LAWS[law])
+    ctx = ModelContext(parse_distribution(law))
     cut = ctx.t_cut
     s = np.array([0.01, 0.3, 0.5 * cut, 0.9 * cut, 0.999 * cut, 0.2, 0.7, 1.1])
     x = np.array([0.0, -1e-9, 1e-12, 2.5, -0.3, 40.0, 0.0, -7.0])
@@ -619,17 +638,25 @@ def _level(kind, magnitude, h):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(law=st.sampled_from(["exp:1.0", "gamma:2,2", "lognormal:0,0.5", "uniform:0,3"]),
+@given(law=st.sampled_from(_PANEL_LAWS),
        h=st.floats(1e-3, 1.0),
        states=st.lists(st.tuples(st.floats(0.005, 1.0),
                                  st.sampled_from(["zero", "tiny", "free", "layer"]),
                                  st.floats(-1.0, 1.0)),
                        min_size=1, max_size=6))
+# windows across the lower end of uniform:1,3 (s = 0.3 to 0.9), and windows
+# that end before it
+@example(law="uniform:1,3", h=1.0,
+         states=[(0.25, "zero", 0.0), (0.3, "free", 0.3), (0.2, "layer", 0.5),
+                 (0.1, "free", -0.2)])
+@example(law="uniform:1,3", h=0.1, states=[(0.1, "zero", 0.0), (0.2, "free", 0.5)])
 def test_hazard_window_rates_match_scalar_property(law, h, states):
     # Partial sums of the survivor's panels against the adaptive reference
     # over (s, min(s + h, t_cut)); states with frac near 1 reach the cut,
-    # where the rate is exactly 1/h.
-    ctx = ModelContext(_LAWS[law])
+    # where the rate is exactly 1/h, and on uniform:1,3 a window that ends
+    # before the support starts holds no mass: the rate is exactly 0.
+    ctx = ModelContext(parse_distribution(law))
+    lower = ctx.dist.quantile(0.0)
     cut = ctx.t_cut
     s = np.array([math.nextafter(frac * cut, 0.0) for frac, _, _ in states])
     x = np.array([_level(kind, m, h) for _, kind, m in states])
@@ -640,7 +667,10 @@ def test_hazard_window_rates_match_scalar_property(law, h, states):
         if sv + h >= cut:
             assert rv == (1.0 / h if den > 0.0 else 0.0)
             continue
-        points = _layer_points(sv, xv)
+        if sv + h < lower:
+            assert rv == 0.0
+            continue
+        points = [*(_layer_points(sv, xv) or ()), *ctx.dist.breakpoints.tolist()]
         num, _ = integrate_semi_infinite(_scaled_survivor_integrand(sv, xv, ctx),
                                          sv, ctx.quad, truncation=sv + h,
                                          interior_points=points)
