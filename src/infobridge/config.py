@@ -6,7 +6,7 @@ diffable and round-trip exactly.
 """
 
 from dataclasses import dataclass, fields
-from typing import get_args, get_origin
+from typing import ClassVar, get_args, get_origin
 
 import numpy as np
 
@@ -25,18 +25,22 @@ class RunConfig:
     t_max: float = 2.0
     paths: int = 1000
     seed: int = 0
-    rel_tol: float = QuadratureSpec.rel_tol
-    abs_tol: float = QuadratureSpec.abs_tol
-    tail_cutoff_mass: float = QuadratureSpec.tail_cutoff_mass
     lt_estimator: str = "occupation"
     lt_eps_coeff: float = 1.0
     kh: tuple[float, ...] = ()
     report_times: tuple[float, ...] = (0.5, 1.0, 2.0)
     residual_pairs: tuple[tuple[float, float], ...] = ((0.25, 0.75), (0.5, 1.0), (1.0, 2.0))
     functionals: tuple[str, ...] = ("one", "indicator_beta_above:0.2", "abs_beta")
-    gate_multiplier: float = EnsembleReport.gate_multiplier
     out: str = "."
     zero_k: bool = False
+
+    # Numerical and gate policy, the same for every run and so not config
+    # keys: the quadrature tolerances, the law mass left beyond the tail cut
+    # and the gates' multiple of a standard error.
+    rel_tol: ClassVar[float] = QuadratureSpec.rel_tol
+    abs_tol: ClassVar[float] = QuadratureSpec.abs_tol
+    tail_cutoff_mass: ClassVar[float] = QuadratureSpec.tail_cutoff_mass
+    gate_multiplier: ClassVar[float] = EnsembleReport.gate_multiplier
 
     @property
     def eps(self):
@@ -44,9 +48,9 @@ class RunConfig:
         return self.lt_eps_coeff * self.dt ** 0.5
 
     def validate(self, command=None):
-        """Check base consistency; report-time/grid alignment is enforced only
-        for commands that consume report times, and a nonempty list of window
-        lags only for the convergence command."""
+        """Check base consistency; a nonempty list of report times on the
+        grid is enforced only for commands that consume report times, and a
+        nonempty list of window lags only for the convergence command."""
         for f in fields(self):
             val = getattr(self, f.name)
             if _scalar(f.type) is float and not np.all(np.isfinite(val)):
@@ -70,8 +74,6 @@ class RunConfig:
             # keeps every step longer than 1e-8 dt clear
             raise ConfigError(f"lt_eps_coeff must lie in (0, 1e150] and give a positive "
                               f"band half-width, got {self.lt_eps_coeff}")
-        if self.gate_multiplier <= 0.0:
-            raise ConfigError("gate_multiplier must be positive")
         if any(h <= 0.0 for h in self.kh):
             raise ConfigError("window lags must be positive")
         if not all(a > b for a, b in zip(self.kh, self.kh[1:])):
@@ -80,6 +82,9 @@ class RunConfig:
             raise ConfigError("convergence needs a nonempty list of window lags (kh)")
         if command not in ("compensator", "convergence"):
             return self
+        if not self.report_times:
+            # with no report time neither command has a gate to decide
+            raise ConfigError(f"{command} needs a nonempty list of report times")
         grid = TimeGrid.regular(self.t_max, self.dt)
         named = list(self.report_times)
         if command == "compensator":

@@ -1,5 +1,8 @@
 import argparse
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,7 +236,7 @@ def test_compensator_insufficient_paths(tmp_path, monkeypatch):
     assert "insufficient paths" in _read(os.path.join(out, "report.txt")).decode()
 
 
-def _convergence_cfg(tmp_path, kh, paths="2"):
+def _convergence_cfg(tmp_path, kh, paths="2", report_times="1.0"):
     p = tmp_path / "conv.cfg"
     p.write_text(f"""
 dist = exp:1.0
@@ -242,7 +245,7 @@ t_max = 1.2
 paths = {paths}
 seed = 5
 kh = {kh}
-report_times = 1.0
+report_times = {report_times}
 """)
     return str(p)
 
@@ -269,6 +272,19 @@ def test_convergence_single_h_marks_insufficient(tmp_path):
 def test_convergence_empty_h_is_config_error(tmp_path):
     cfg = _convergence_cfg(tmp_path, "")
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_empty_report_times_is_config_error(tmp_path, monkeypatch):
+    # with no report time neither command decides a gate, so neither may
+    # write a passing verdict
+    monkeypatch.setenv("INFOBRIDGE_WORKERS", "1")
+    comp = _compensator_cfg(tmp_path, dt="0.05", paths="200", report_times="",
+                            residual_pairs="")
+    conv = _convergence_cfg(tmp_path, "0.2,0.1", report_times="")
+    for command, cfg in (("compensator", comp), ("convergence", conv)):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_convergence_requires_decreasing_h(tmp_path):
@@ -306,6 +322,20 @@ def test_flag_types_follow_annotations():
             else:
                 assert action.type is FIELD_TYPES[action.dest]
     assert seen == {"dist", "paths", "dt", "t_max", "seed", "out", "zero_k"}
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # ``python -m infobridge.cli`` hands main's exit code to the process
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    base = [sys.executable, "-m", "infobridge.cli", "simulate", "--paths", "1",
+            "--t-max", "1", "--out", str(tmp_path / "out")]
+    ok = subprocess.run(base + ["--dt", "0.5"], env=env, capture_output=True, text=True,
+                        timeout=120)
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "out" / "paths.csv").stat().st_size > 0
+    bad = subprocess.run(base + ["--dt", "0"], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert bad.returncode == 2 and "configuration error" in bad.stderr
 
 
 def test_missing_config_file_is_io_error(tmp_path):

@@ -47,18 +47,36 @@ def test_defaults_without_file():
     cfg = load_config()
     assert cfg.dist == "exp:1.0"
     assert cfg.lt_estimator == "occupation"
-    assert cfg.gate_multiplier == 3.0
     # the occupation band half-width is lt_eps_coeff * sqrt(dt)
     assert RunConfig(dt=0.01, lt_eps_coeff=0.2).eps == 0.2 * 0.01 ** 0.5
 
 
+def test_policy_constants_are_not_fields():
+    # the quadrature tolerances, the tail-cut mass and the gate multiplier
+    # are the same for every run: class constants, not config keys
+    values = dict(rel_tol=1e-9, abs_tol=1e-12, tail_cutoff_mass=1e-9, gate_multiplier=3.0)
+    for name, value in values.items():
+        assert getattr(RunConfig, name) == value
+        assert getattr(RunConfig(), name) == value
+        assert name not in FIELD_TYPES
+        with pytest.raises(ConfigError):
+            load_config(None, **{name: value})
+    assert len(FIELD_TYPES) == 13
+
+
 def test_unknown_key(tmp_path):
-    # retired keys are unknown as well, and the CLI exits 2 on them
-    for line in ("volatility = 2\n", "lt_eps_power = 0.5\n", "workers = 2\n"):
+    # retired keys are unknown as well, and the CLI exits 2 on them before
+    # it creates the output directory
+    out = tmp_path / "out"
+    for line in ("volatility = 2\n", "lt_eps_power = 0.5\n", "workers = 2\n",
+                 "rel_tol = 1e-9\n", "abs_tol = 1e-12\n", "tail_cutoff_mass = 1e-9\n",
+                 "gate_multiplier = 3.0\n"):
         path = _write(tmp_path, line)
         with pytest.raises(ConfigError):
             parse_config_file(path)
-        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+        for command in ("simulate", "compensator"):
+            assert main([command, "--config", path, "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 def test_malformed_line(tmp_path):
@@ -80,11 +98,9 @@ def test_bad_value(tmp_path):
     dict(paths=0),
     dict(lt_estimator="splines"),
     dict(lt_eps_coeff=0.0),
-    dict(gate_multiplier=0.0),
     dict(kh=(0.1, -0.2)),
     dict(dt=float("nan")),
     dict(t_max=float("inf")),
-    dict(gate_multiplier=float("nan")),
     dict(lt_eps_coeff=float("nan")),
     dict(lt_eps_coeff=1e300),
     dict(lt_eps_coeff=5e-324),  # the band half-width underflows to 0
@@ -123,6 +139,17 @@ def test_report_times_checked_for_compensator():
     cfg.validate("simulate")
 
 
+def test_empty_report_times_refused_for_gate_commands():
+    # with no report time, compensator and convergence decide no gate
+    cfg = RunConfig(dt=0.05, t_max=1.0, report_times=(), residual_pairs=(),
+                    kh=(0.2, 0.1))
+    for command in ("compensator", "convergence"):
+        with pytest.raises(ConfigError, match="report times"):
+            cfg.validate(command)
+    cfg.validate("simulate")
+    cfg.validate("survival")
+
+
 def test_off_grid_report_time():
     cfg = RunConfig(dt=0.3, t_max=1.2, report_times=(0.5,),
                     residual_pairs=(), functionals=("one",))
@@ -158,10 +185,10 @@ def test_seed_range_edges():
 
 # One value per RunConfig field, each different from its default.
 SAMPLE = dict(
-    dist="gamma:2,2", dt=0.02, t_max=1.0, paths=7, seed=2 ** 64 - 1, rel_tol=1e-8,
-    abs_tol=1e-11, tail_cutoff_mass=1e-8, lt_estimator="tanaka", lt_eps_coeff=0.3,
-    kh=(0.2, 0.1), report_times=(0.5, 1.0), residual_pairs=((0.5, 1.0),),
-    functionals=("one", "abs_beta"), gate_multiplier=2.5, out="some/dir", zero_k=True,
+    dist="gamma:2,2", dt=0.02, t_max=1.0, paths=7, seed=2 ** 64 - 1,
+    lt_estimator="tanaka", lt_eps_coeff=0.3, kh=(0.2, 0.1), report_times=(0.5, 1.0),
+    residual_pairs=((0.5, 1.0),), functionals=("one", "abs_beta"), out="some/dir",
+    zero_k=True,
 )
 
 

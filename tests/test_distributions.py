@@ -204,6 +204,12 @@ def test_table_validation():
             DefaultDistribution.from_table(t, f)
 
 
+def test_repr_names_the_law():
+    table = DefaultDistribution.from_table([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
+    assert repr(table) == "DefaultDistribution(table, 3 knots, t1=2.0)"
+    assert repr(parse_distribution("gamma:2,2")) == "DefaultDistribution(gamma:2,2)"
+
+
 @pytest.mark.parametrize("make", [
     lambda: DefaultDistribution("weibull", (1.0, 2.0)),
     lambda: DefaultDistribution.exponential(0.0),

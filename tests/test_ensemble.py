@@ -247,6 +247,15 @@ def test_build_job_rejects_off_grid_times(ctx):
 def test_unrecorded_time_raises(table):
     with pytest.raises(DomainError):
         table.time_index(0.77)
+    # 1.0 is a recorded time but not the state time of a residual pair
+    with pytest.raises(DomainError, match="state time"):
+        table.s_index(1.0)
+
+
+def test_residual_needs_s_before_t(table):
+    for s, t in ((1.0, 0.5), (0.5, 0.5)):
+        with pytest.raises(DomainError, match="0 < s < t"):
+            table_martingale_residual(table, s, t, "one")
 
 
 def test_csv_writers_are_deterministic(ctx, job, table):

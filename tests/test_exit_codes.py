@@ -37,16 +37,12 @@ GOOD = {
     "t_max": ("0.5", "1.0", "2.0"),
     "paths": ("1", "2", "3"),
     "seed": ("0", "7", "18446744073709551615"),
-    "rel_tol": ("1e-9", "1e-6"),
-    "abs_tol": ("1e-12", "1e-8"),
-    "tail_cutoff_mass": ("1e-9", "1e-7"),
     "lt_estimator": ("occupation", "tanaka"),
     "lt_eps_coeff": ("0.5", "1.0"),
     "kh": ("0.2,0.1", "0.1,0.05", "0.1"),
     "report_times": ("0.5", "0.5,1.0", "0.25,0.5"),
     "residual_pairs": ("0.25:0.5", "0.5:1.0", "0.25:0.5,0.5:1.0"),
     "functionals": ("one", "one,abs_beta", "indicator_beta_above:0.2"),
-    "gate_multiplier": ("3.0", "0.5"),
     "out": ("{out}",),
     "zero_k": ("false", "true"),
     "t": ("0.5", "1.0", "0.25"),  # the state of the survival command
@@ -67,8 +63,7 @@ BAD_STRINGS = {
     "out": ("", "{file}/out"),
 }
 # Values that are bad only for their field: in range for the annotation.
-BAD_EXTRA = {"dt": ("1e-17",), "t_max": ("1e17",), "tail_cutoff_mass": ("1e-5",),
-             "lt_eps_coeff": ("0.02", "100"),
+BAD_EXTRA = {"dt": ("1e-17",), "t_max": ("1e17",), "lt_eps_coeff": ("0.02", "100"),
              "seed": ("18446744073709551616", "100000000000000000000000000000"),
              "t": ("0", "3", "1.7976931348623157e308"), "x": ("0", "200")}
 # Items of the float tuples besides the bad numbers: times on and off the grids.

@@ -263,6 +263,20 @@ def test_occupation_formula_residual_zero_h():
     assert res == 0.0
 
 
+def test_level_grid_needs_positive_spacing():
+    for dx in (0.0, -0.1):
+        with pytest.raises(DomainError):
+            level_grid(_ramp_path(), dx)
+
+
+def test_occupation_formula_residual_single_level():
+    # one level spans no width: the right side is 0, the gap the left side
+    p = _ramp_path()
+    curve = occupation_estimate(p, 0.0, 0.05)
+    res = occupation_formula_residual(p, lambda s, x: np.ones_like(s), [0.0], [curve])
+    assert res == float(np.sum(p.spans))
+
+
 def test_occupation_formula_residual_unit_h(ctx_exp):
     dt = 1e-3
     grid = TimeGrid.regular(1.0, dt)

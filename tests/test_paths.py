@@ -329,6 +329,24 @@ def test_recover_b_martingale_increments(ctx_exp):
     assert abs(qv1.mean() - target) <= 3.0 * se_qv
 
 
+@pytest.mark.parametrize("tau, beta, message", [
+    (9.0, [0.5, 0.1, 0.2, 0.3, 0.4], "start at zero"),
+    (0.5, [0.0, 0.1, 0.2, 0.3, 0.4], "at or after the default time"),
+    (9.0, [0.0, 0.1, 0.0, 0.3, 0.4], "exact zero before the default time"),
+], ids=["nonzero-start", "nonzero-after-default", "zero-before-default"])
+def test_validate_rejects_a_broken_zero_encoding(tau, beta, message):
+    p = InformationPath(tau, TimeGrid(np.linspace(0.0, 1.0, 5)), np.array(beta))
+    with pytest.raises(AssertionError, match=message):
+        p.validate()
+
+
+def test_restrict_path_needs_a_subset_grid(ctx_exp):
+    p = sample_path_direct(ctx_exp, TimeGrid.regular(1.0, 0.01), RandomStream(3, 9))
+    for coarse in (TimeGrid.regular(1.0, 0.03), TimeGrid.regular(2.0, 0.5)):
+        with pytest.raises(DomainError, match="not a subset"):
+            restrict_path(p, coarse)
+
+
 def test_restrict_path_keeps_values(ctx_exp):
     fine = TimeGrid.regular(1.0, 0.005)
     coarse = TimeGrid.regular(1.0, 0.01)
