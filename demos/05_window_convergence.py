@@ -4,7 +4,9 @@ K^h averages the conditional probability of defaulting within the next lag
 h along the path; as h shrinks it approaches the local-time compensator K.
 The demo shows the gap |K^h - K| at t = 1 shrinking with h on a few paths,
 and the kernel view of the same smoothing: the time-averaged Gaussian
-density concentrates to a point mass as its lag shrinks.
+density concentrates to a point mass as its lag shrinks.  A path's rates at
+every lag come from one ``window_rates`` call; ``laplacian_approximation``
+then reads one lag at a time.
 """
 
 import math
@@ -21,7 +23,7 @@ from infobridge import (
     laplacian_approximation,
     occupation_estimate,
     sample_path_direct,
-    window_survivor,
+    window_rates,
 )
 from infobridge.laws import compensator_weights
 
@@ -39,8 +41,8 @@ for i in range(n):
     p = sample_path_direct(ctx, grid, RandomStream(88, i))
     lt = occupation_estimate(p, 0.0, math.sqrt(dt))
     k1 = compensator_curve(p, lt, weights)[p.grid.index_of(1.0)]
-    survivor = window_survivor(p, ctx)  # denominator and panels of every lag's rate
-    gaps = [abs(laplacian_approximation(p, h, ctx, survivor)[p.grid.index_of(1.0)]
+    window = window_rates(p, ctx, lags)  # every lag's rates from one pass
+    gaps = [abs(laplacian_approximation(p, h, ctx, window)[p.grid.index_of(1.0)]
                 - k1) for h in lags]
     sums += gaps
     print(f"  {i:4d}   " + "   ".join(f"{g:7.4f}" for g in gaps))

@@ -49,7 +49,7 @@ from .compensator import (
     build_curve,
     compensator_curve,
     laplacian_approximation,
-    window_survivor,
+    window_rates,
 )
 from .ensemble import EnsembleReport, parse_functional
 from .paths import (

@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from . import laws
-from .compensator import build_curve, laplacian_approximation, window_survivor
+from .compensator import build_curve, laplacian_approximation, window_rates
 from .config import FIELD_TYPES, load_config
 from .distributions import parse_distribution
 from .ensemble import (
@@ -180,9 +180,9 @@ def cmd_convergence(cfg):
             lt = occupation_estimate(path, 0.0, cfg.eps)
         curve = build_curve(path, lt, weights)
         kref = curve.K[idx]
-        survivor = window_survivor(path, ctx)
+        window = window_rates(path, ctx, cfg.kh)
         for a, h in enumerate(cfg.kh):
-            kh = laplacian_approximation(path, h, ctx, survivor)[idx]
+            kh = laplacian_approximation(path, h, ctx, window)[idx]
             gaps[a] += np.abs(kh - kref)
     gaps /= cfg.paths
     out = _outdir(cfg)

@@ -14,7 +14,10 @@ with the window approximation
     K^h_t = integral of (1/h) P(default in (s, s+h) | state at s) ds
 
 whose h -> 0 limit recovers K, and the averaged Gaussian kernel that stands
-in for the local-time measure in that limit.  The martingale test itself
+in for the local-time measure in that limit.  The conditional rates of
+every lag of a path come from one ``window_rates`` call, which builds the
+path's survivor panels once; ``laplacian_approximation`` integrates one
+lag's rates along the path.  The martingale test itself
 (functionals, reductions and the gate verdict) lives in ``ensemble``.
 """
 
@@ -31,8 +34,9 @@ from .paths import TimeGrid
 __all__ = [
     "CompensatorCurve",
     "compensator_curve",
+    "WindowRates",
     "laplacian_approximation",
-    "window_survivor",
+    "window_rates",
     "averaged_gaussian_kernel",
     "build_curve",
 ]
@@ -81,19 +85,34 @@ def _window_knots(path, ctx):
     return left[path.grid.knots[left] < min(path.tau, ctx.t_cut)]
 
 
-def window_survivor(path, ctx):
-    """Scaled survivor densities at the window knots of ``path``, with their
-    panels (``laws.SurvivorPanels``).
+@dataclass(frozen=True)
+class WindowRates:
+    """The window rates of one path at every lag: ``rates[a]`` holds the
+    rate of lag ``lags[a]`` at each window state (``s``, ``x`` = |beta|)."""
 
-    The survivor is the denominator of every window rate along the path, and
-    partial sums of its panels give every lag's numerator; compute it once
-    per path and pass it to ``laplacian_approximation`` for each lag.
+    lags: tuple
+    s: np.ndarray
+    x: np.ndarray
+    rates: np.ndarray
+
+
+def window_rates(path, ctx, lags):
+    """The conditional window rates of ``path`` at its window knots, for
+    every lag of ``lags`` at once.
+
+    The path's survivor panels (``laws.SurvivorPanels``) are built once: the
+    survivor is the denominator of every rate, and partial sums of its
+    panels give every lag's numerator, all lags in one
+    ``laws.hazard_window_rates`` call.  ``laplacian_approximation`` reads
+    one lag's row of the record.
     """
     idx = _window_knots(path, ctx)
-    return laws.SurvivorPanels.build(ctx, path.grid.knots[idx], path.beta[idx])
+    panels = laws.SurvivorPanels.build(ctx, path.grid.knots[idx], path.beta[idx])
+    return WindowRates(tuple(float(h) for h in lags), panels.s, panels.x,
+                       laws.hazard_window_rates(ctx, panels, lags))
 
 
-def laplacian_approximation(path, h, ctx, survivor):
+def laplacian_approximation(path, h, ctx, window):
     """Window approximation of the compensator with lag h.
 
     Each step before the default time contributes its length times the
@@ -103,21 +122,21 @@ def laplacian_approximation(path, h, ctx, survivor):
     Time zero lies outside the law domain, so the step out of it uses the
     rate of the first positive knot.
 
-    ``survivor`` is ``window_survivor(path, ctx)``, shared by every lag of
-    the path.
+    ``window`` is ``window_rates(path, ctx, lags)`` with h among its lags,
+    shared by every lag of the path.
     """
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"window lag must be positive and finite, got {h}")
+    if h not in window.lags:
+        raise DomainError(f"window lag {h} is not one of the record's lags {window.lags}")
     knots = path.grid.knots
     spans = path.spans
     incr = np.zeros(len(spans))
     idx = _window_knots(path, ctx)
-    if not (np.array_equal(survivor.s, knots[idx])
-            and np.array_equal(survivor.x, np.abs(path.beta[idx]))):
-        raise DomainError("survivor panels belong to other states than the "
+    if not (np.array_equal(window.s, knots[idx])
+            and np.array_equal(window.x, np.abs(path.beta[idx]))):
+        raise DomainError("window rates belong to other states than the "
                           "window knots of this path")
     if len(idx):
-        rates = laws.hazard_window_rates(ctx, survivor, h)
+        rates = window.rates[window.lags.index(h)]
         incr[idx] = spans[idx] * rates
         if knots[0] < path.tau and idx[0] == 1:
             incr[0] = spans[0] * rates[0]

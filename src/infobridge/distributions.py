@@ -182,21 +182,27 @@ class DefaultDistribution:
         an array of t's shape.  Both come from the same kernel, so a float
         has the bits of the array element at that point."""
         if isinstance(t, float):
-            y = (t - self._loc) / self._scale
-            if self._f_lo <= y <= self._f_hi and t >= 0:
-                return float(self._pdf(y) / self._scale)
+            # _to_y and _unscale written out: a method call costs more than
+            # the float arithmetic it would skip
+            y = t if self._loc == 0.0 else t - self._loc
+            if self._scale != 1.0:
+                y = y / self._scale
+            if self._f_lo <= y <= self._f_hi and (y is t or t >= 0):
+                p = self._pdf(y)
+                return float(p if self._scale == 1.0 else p / self._scale)
             return math.nan if math.isnan(y) else 0.0
         ta, y = self._standardize(t)
         # Three reductions settle the common all-inside case; a NaN fails
         # them (every comparison with NaN is false) and takes the masks.
-        # t < 0 as well: y = (t - loc) / scale can underflow to -0.0.
+        # t < 0 as well: y = (t - loc) / scale can underflow to -0.0; when
+        # y is t itself, y >= f_lo >= 0 already says so.
         if y.size and (y.min() >= self._f_lo and y.max() <= self._f_hi
-                       and ta.min() >= 0):
-            out = self._pdf(y) / self._scale
+                       and (y is ta or ta.min() >= 0)):
+            out = self._unscale(self._pdf(y))
         else:
             inside = (self._f_lo <= y) & (y <= self._f_hi) & (ta >= 0)
             out = np.where(np.isnan(y), np.nan, 0.0)
-            out[inside] = self._pdf(y[inside]) / self._scale
+            out[inside] = self._unscale(self._pdf(y[inside]))
         return out if np.ndim(t) else float(out[0])
 
     def cdf_F(self, t):
@@ -247,7 +253,18 @@ class DefaultDistribution:
         a float through here; ``density_f`` gives a float a branch of its
         own through the same kernels, with the same bits."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return t, (t - self._loc) / self._scale
+        return t, self._to_y(t)
+
+    def _to_y(self, t):
+        """(t - loc) / scale without the exact identities: no subtraction
+        when loc is 0 and no division when scale is 1, so on such a law
+        (exp:1.0, uniform:0,1, lognormal:0,s, tables) y is t itself."""
+        y = t if self._loc == 0.0 else t - self._loc
+        return y if self._scale == 1.0 else y / self._scale
+
+    def _unscale(self, p):
+        """pdf(y) / scale, without the division when scale is 1."""
+        return p if self._scale == 1.0 else p / self._scale
 
     def _table_cdf(self, t):
         # Exact integral of the piecewise-linear density; t0 < t < t_last.

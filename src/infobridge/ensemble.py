@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import laws, paths
-from .compensator import compensator_curve, laplacian_approximation, window_survivor
+from .compensator import compensator_curve, laplacian_approximation, window_rates
 from .errors import ConfigError, DomainError, InsufficientPaths
 from .localtime import BandCreditTable, occupation_estimate, tanaka_estimate
 from .paths import InformationPath, RandomStream, TimeGrid, sample_path_direct
@@ -219,7 +219,7 @@ def _record_rows(job, plan, batch, block, rows):
     group is computed on the head of the batch that ends at the group's
     last knot (``plan``) and read there, with the bits of the whole-grid
     curve of each path.  K^h stays per path: its panel work does not shrink
-    with the batch.
+    with the batch.  A path's lags share one ``window_rates`` call.
     """
     if len(batch) == 1:
         tau, beta = batch[0].tau, batch[0].beta
@@ -240,10 +240,10 @@ def _record_rows(job, plan, batch, block, rows):
         if job.kh:
             for k, p in enumerate(batch, rows.start):
                 path = plan.times.head(p.tau, p.beta)
-                survivor = window_survivor(path, job.ctx)
+                window = window_rates(path, job.ctx, job.kh)
                 for a, h in enumerate(job.kh):
                     block["Kh"][k, a] = laplacian_approximation(
-                        path, h, job.ctx, survivor)[t_idx]
+                        path, h, job.ctx, window)[t_idx]
     if job.b_nodes or job.qv_nodes:
         b = paths.recover_b(plan.drift.head(tau, beta), job.drift_table)
         block["b"][rows] = b[..., plan.b_nodes.index]

@@ -44,7 +44,8 @@ f starts) and one integrand kernel (``_panel_sums``), which returns each
 row's sums.  ``SurvivorPanels`` is the panel route's survivor entry: the
 compensator weights and the survivor of the window rates read it.  The
 window numerator over (s, s + h) is not a third integral: it is a partial
-sum of the survivor's own panels plus one panel up to s + h.  The drift
+sum of the survivor's own panels plus one panel up to s + h, and the
+closing panels of every lag go through one kernel call.  The drift
 table takes survivor and drift sums from one kernel call per level column
 and row group.  The two routes are cross-checked in the test suite.
 
@@ -490,10 +491,11 @@ class SurvivorPanels:
 
 
 def _ratio(num, den):
-    """num / den where den > 0, else 0."""
-    out = np.zeros(den.shape)
+    """num / den where den > 0, else 0; ``num`` may hold one row per lag
+    over the states of ``den``."""
+    out = np.zeros(num.shape)
     ok = den > 0.0
-    out[ok] = num[ok] / den[ok]
+    out[..., ok] = num[..., ok] / den[ok]
     return out
 
 
@@ -514,38 +516,46 @@ def compensator_weights(ctx, knots):
     return w
 
 
-def hazard_window_rates(ctx, panels, h):
-    """Vectorized conditional rate (1/h) P(tau in (s, s+h) | beta_s = x, tau > s)
-    at the states of ``panels`` (a ``SurvivorPanels``).
+def hazard_window_rates(ctx, panels, lags):
+    """Vectorized conditional rates (1/h) P(tau in (s, s+h) | beta_s = x, tau > s)
+    at the states of ``panels`` (a ``SurvivorPanels``), one row per lag h of
+    the 1-D sequence ``lags``.
 
     Ratio of the h-window numerator to the survivor density; the common
     exp(-x^2/(2s)) scale cancels, so the rate is stable for any |x|.  The
     numerator reuses the survivor's panels: the sum of the full panels below
     the window's end z = sqrt((s + h) - s) (log z on log rows) plus one
     Gauss-Legendre panel from the last full edge up to it, 24 integrand
-    evaluations per state.  Where the boundary layer lies beyond the
-    window's end, that panel spans the short window under it, as the
-    survivor's own panels do at the tail cut.  The window stops at the tail
-    cut like the survivor integral does: where s + h reaches it (the end of
-    a bounded support) the numerator is the survivor itself and the rate is
-    exactly 1/h, with no panel straddling the edge of f.  A window that ends
-    before the support of f starts holds no mass: its rate is 0.  The lag
-    must be positive and finite.
+    evaluations per state and lag.  The closing panels of every (lag, state)
+    pair of a row group go through one kernel call; each row of the kernel
+    is independent of the others, so a row has the bits of a one-lag call.
+    Where the boundary layer lies beyond the window's end, that panel spans
+    the short window under it, as the survivor's own panels do at the tail
+    cut.  The window stops at the tail cut like the survivor integral does:
+    where s + h reaches it (the end of a bounded support) the numerator is
+    the survivor itself and the rate is exactly 1/h, with no panel
+    straddling the edge of f.  A window that ends before the support of f
+    starts holds no mass: its rate is 0.  Every lag must be positive and
+    finite.
     """
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"window lag must be positive and finite, got {h}")
+    lags = np.asarray(lags, dtype=float)
+    if lags.ndim != 1:
+        raise DomainError(f"window lags must be a 1-D sequence, got shape {lags.shape}")
+    if not np.all((lags > 0.0) & (lags < math.inf)):
+        raise DomainError(f"window lags must be positive and finite, got {lags.tolist()}")
     s, x, den, t_cut = panels.s, panels.x, panels.survivor, ctx.t_cut
-    top = s + h
+    top = s + lags[:, None]
     num = np.where(top < t_cut, 0.0, den)
     for rows, log, edges, below in panels.groups:
-        part = (top[rows] < t_cut) & (top[rows] > s[rows])
-        if not np.any(part):
+        s_rows, top_rows = s[rows], top[:, rows]
+        lag, state = np.nonzero((top_rows < t_cut) & (top_rows > s_rows))
+        if not len(state):
             continue
-        s_part = s[rows][part]
-        target = np.sqrt(top[rows][part] - s_part)
+        s_part = s_rows[state]
+        target = np.sqrt(top_rows[lag, state] - s_part)
         if log:
             target = np.log(target)
-        edges, below = edges[part], below[part]
+        edges, below = edges[state], below[state]
         k = np.sum(edges[:, 1:] <= target[:, None], axis=1)
         i = np.arange(len(k))
         start = edges[i, k]
@@ -553,9 +563,9 @@ def hazard_window_rates(ctx, panels, h):
             start = np.where(edges[:, 0] < target - 1e-12, start,
                              target - _UNDER_LAYER)
         last, _ = _panel_sums(np.stack([start, target], axis=1), log,
-                              s_part, x[rows][part], ctx)
-        num[np.flatnonzero(rows)[part]] = below[i, k] + last
-    return np.clip(_ratio(num, den) / h, 0.0, 1.0 / h)
+                              s_part, x[rows][state], ctx)
+        num[lag, np.flatnonzero(rows)[state]] = below[i, k] + last
+    return np.clip(_ratio(num, den) / lags[:, None], 0.0, 1.0 / lags[:, None])
 
 
 class DriftTable:

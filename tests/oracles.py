@@ -10,9 +10,11 @@ kernels: they draw and process every grid step, also those after the default
 time, and look credit cells up with ``np.searchsorted``.  The package stops
 at the step holding the default time and must match them bit for bit.
 
-``adaptive_recover_b`` is the one exception to the first rule: it reads the
+``adaptive_recover_b`` is one exception to the first rule: it reads the
 drift from the package's scalar law, per knot, as the reference for the
-tabulated drift that ``paths.recover_b`` interpolates.  ``adaptive_band_credit``
+tabulated drift that ``paths.recover_b`` interpolates.  ``general_density``
+is another: it applies a law's own kernel by the general rule, the
+reference for the bits of ``density_f``, which skips exact identities.  ``adaptive_band_credit``
 calls scipy's adaptive QUADPACK rule directly, not the package's wrappers:
 the band credit is integrated in time over the bridge's Gaussian marginals,
 not in level over its local time as the package does.
@@ -231,6 +233,19 @@ def adaptive_recover_b(path, ctx):
     return beta + np.concatenate([[0.0], np.cumsum(incr)])
 
 
+def general_density(dist, t):
+    """f(t) of ``dist`` by the general rule, with no exact identity skipped:
+    pdf((t - loc) / scale) / scale where f_lo <= y <= f_hi and t >= 0, NaN
+    where y is NaN and 0 elsewhere, on the law's own kernel ``_pdf``.  An
+    array of at least one dimension."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    y = (t - dist._loc) / dist._scale
+    inside = (dist._f_lo <= y) & (y <= dist._f_hi) & (t >= 0)
+    out = np.where(np.isnan(y), np.nan, 0.0)
+    out[inside] = dist._pdf(y[inside]) / dist._scale
+    return out
+
+
 def full_grid_quadratic_variation(b):
     d = np.diff(b)
     return np.concatenate([[0.0], np.cumsum(d * d)])
@@ -239,7 +254,7 @@ def full_grid_quadratic_variation(b):
 def full_curve_row(job, path):
     """Every per-path field of one ensemble row from curves over the whole
     path grid, each read at its knots by ``np.searchsorted``."""
-    from infobridge.compensator import laplacian_approximation, window_survivor
+    from infobridge.compensator import laplacian_approximation, window_rates
 
     knots = path.grid.knots
     at = lambda ts: np.searchsorted(knots, np.asarray(ts, dtype=float))
@@ -252,8 +267,8 @@ def full_curve_row(job, path):
            "K": full_grid_compensator(lt, job.weights)[t_idx],
            "beta": path.beta[at(job.s_nodes)]}
     if job.kh:
-        survivor = window_survivor(path, job.ctx)
-        row["Kh"] = np.array([laplacian_approximation(path, h, job.ctx, survivor)[t_idx]
+        window = window_rates(path, job.ctx, job.kh)
+        row["Kh"] = np.array([laplacian_approximation(path, h, job.ctx, window)[t_idx]
                               for h in job.kh])
     if job.drift_table is not None:
         b = full_grid_recover_b(path, job.drift_table)

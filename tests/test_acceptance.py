@@ -24,7 +24,7 @@ from infobridge.compensator import (
     averaged_gaussian_kernel,
     compensator_curve,
     laplacian_approximation,
-    window_survivor,
+    window_rates,
 )
 from infobridge.config import RunConfig
 from infobridge.distributions import DefaultDistribution
@@ -273,9 +273,9 @@ def _kh_study(ctx, seed):
 
         k_coarse = k_at_one(pc, _KH_DT, w_coarse)
         floors[i] = abs(k_coarse - k_at_one(pf, _KH_DT / 2.0, w_fine))
-        survivor = window_survivor(pc, ctx)
+        window = window_rates(pc, ctx, _KH_LAGS)
         for a, h in enumerate(_KH_LAGS):
-            kh = laplacian_approximation(pc, h, ctx, survivor)[pc.grid.index_of(1.0)]
+            kh = laplacian_approximation(pc, h, ctx, window)[pc.grid.index_of(1.0)]
             gaps[i, a] = abs(kh - k_coarse)
     return gaps.mean(axis=0), floors.mean()
 

@@ -10,7 +10,7 @@ from infobridge.compensator import (
     averaged_gaussian_kernel,
     compensator_curve,
     laplacian_approximation,
-    window_survivor,
+    window_rates,
 )
 from infobridge.config import RunConfig
 from infobridge.distributions import DefaultDistribution
@@ -125,7 +125,7 @@ def test_window_approximation_monotone_and_stopped(ctx_exp):
         p = sample_path_direct(ctx_exp, grid, RandomStream(43, i))
         if p.tau < 2.0:
             break
-    kh = laplacian_approximation(p, 0.1, ctx_exp, window_survivor(p, ctx_exp))
+    kh = laplacian_approximation(p, 0.1, ctx_exp, window_rates(p, ctx_exp, [0.1]))
     assert np.all(np.diff(kh) >= 0.0)
     j = int(np.searchsorted(p.grid.knots, p.tau))
     assert np.all(kh[j:] == kh[j])
@@ -144,20 +144,26 @@ def test_window_approximation_mean_matches_window_probability(ctx_exp):
 
 
 def test_window_rejects_bad_lag(ctx_exp):
+    # A bad lag cannot enter the record, and the curve reads only the lags
+    # the record holds.
     grid = TimeGrid.regular(1.0, 0.1)
     p = sample_path_direct(ctx_exp, grid, RandomStream(3, 0))
-    survivor = window_survivor(p, ctx_exp)
     for h in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(DomainError):
-            laplacian_approximation(p, h, ctx_exp, survivor)
+            window_rates(p, ctx_exp, [0.1, h])
+    window = window_rates(p, ctx_exp, [0.2, 0.1])
+    for h in (0.0, -0.1, math.inf, math.nan, 0.05, 0.1 + 1e-12):
+        with pytest.raises(DomainError):
+            laplacian_approximation(p, h, ctx_exp, window)
 
 
 def test_window_rejects_other_paths_survivor(ctx_exp):
+    # The record of another path, even with this path's lag, is refused.
     grid = TimeGrid.regular(1.0, 0.1)
     p = sample_path_direct(ctx_exp, grid, RandomStream(3, 0))
     other = sample_path_direct(ctx_exp, grid, RandomStream(3, 1))
     with pytest.raises(DomainError):
-        laplacian_approximation(p, 0.1, ctx_exp, window_survivor(other, ctx_exp))
+        laplacian_approximation(p, 0.1, ctx_exp, window_rates(other, ctx_exp, [0.1]))
 
 
 def test_ensemble_window_matches_path_curves(ctx_exp):
@@ -166,8 +172,8 @@ def test_ensemble_window_matches_path_curves(ctx_exp):
     t_idx = np.searchsorted(job.grid.knots, np.asarray(job.times))
     for i in range(24):
         p = sample_path_direct(ctx_exp, job.grid, RandomStream(job.master_seed, i))
-        survivor = window_survivor(p, ctx_exp)
-        curves = [laplacian_approximation(p, h, ctx_exp, survivor)[t_idx]
+        window = window_rates(p, ctx_exp, job.kh)
+        curves = [laplacian_approximation(p, h, ctx_exp, window)[t_idx]
                   for h in job.kh]
         assert np.array_equal(table.Kh[i], np.array(curves))
 

@@ -10,7 +10,7 @@ from infobridge.distributions import DefaultDistribution, parse_distribution
 from infobridge.errors import ConfigError, DomainError
 from infobridge.quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
 
-from oracles import riemann_midpoint, tabulated_density
+from oracles import general_density, riemann_midpoint, tabulated_density
 
 # Frozen from the dense-tabulation oracle (step 5e-5 on [0, 30]).
 GAMMA21_TABULATED_AT_1 = 0.36787944124915106
@@ -374,3 +374,35 @@ def test_quantile_float_matches_array(data, d):
     floats = [d.quantile(float(v)) for v in u]
     assert all(type(v) is float for v in floats)
     assert _bits(floats) == _bits(d.quantile(u))
+
+
+# density_f skips the subtraction of a zero loc, both divisions by a unit
+# scale and the t >= 0 reduction where y is t itself; each is an exact
+# identity, so every law keeps the bits of the general rule.
+_GENERAL_RULE_LAWS = {
+    **{spec: parse_distribution(spec) for spec in (
+        "exp:1.0", "exp:2.5", "gamma:2,2", "lognormal:0,0.5", "lognormal:1,0.3",
+        "uniform:0,1", "uniform:1,3")},
+    "table401": DefaultDistribution.from_table(np.linspace(0.0, 20.0, 401),
+                                               np.exp(-np.linspace(0.0, 20.0, 401))),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_GENERAL_RULE_LAWS))
+def test_density_has_the_bits_of_the_general_rule(spec):
+    d = _GENERAL_RULE_LAWS[spec]
+    cut = d.tail_cut(1e-9)
+    # all inside the support (the whole-array route), then a mix with
+    # signed zeros, NaN, infinities, subnormals and points beyond the
+    # support on both sides (the masked route)
+    inside = d.quantile(np.linspace(1e-6, 0.999, 257))
+    beyond = np.array([cut, np.nextafter(cut, np.inf), cut + 1.0, 1e300,
+                       np.finfo(float).max])
+    below = d.quantile(0.0) - np.array([1e-9, 0.5, 2.0])
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1e-320, 5e-324, -1.0])
+    mixed = np.concatenate([inside[::8], beyond, below, special])
+    with np.errstate(all="ignore"):
+        for t in (inside, mixed):
+            ref = _bits(general_density(d, t))
+            assert _bits(d.density_f(t)) == ref
+            assert _bits([d.density_f(float(v)) for v in t]) == ref

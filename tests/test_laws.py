@@ -588,7 +588,7 @@ def test_hazard_window_rates_match_scalar():
     for spec, s, x in cases:
         ctx = ModelContext(parse_distribution(spec))
         panels = SurvivorPanels.build(ctx, np.array(s), np.array(x))
-        rates = hazard_window_rates(ctx, panels, h)
+        rates, = hazard_window_rates(ctx, panels, [h])
         for sv, xv, rv in zip(s, x, rates):
             num, _ = integrate_semi_infinite(
                 _scaled_survivor_integrand(sv, xv, ctx),
@@ -605,17 +605,17 @@ def test_hazard_window_rates_reject_bad_input(ctx_exp):
     panels = SurvivorPanels.build(ctx_exp, np.array([0.5, 1.0]), np.array([0.2, -0.4]))
     for h in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(DomainError):
-            hazard_window_rates(ctx_exp, panels, h)
+            hazard_window_rates(ctx_exp, panels, [h])
     # a lag below the spacing of floats at s leaves an empty window
     panels = SurvivorPanels.build(ctx_exp, np.array([1.0, 1.0]), np.array([0.0, 0.3]))
-    assert np.array_equal(hazard_window_rates(ctx_exp, panels, 1e-17), [0.0, 0.0])
+    assert np.array_equal(hazard_window_rates(ctx_exp, panels, [1e-17]), [[0.0, 0.0]])
 
 
 def test_hazard_window_consistent_with_indicator_expectation(ctx_exp):
     # Same quantity through the posterior-expectation operator.
     h, sv, xv = 0.25, 0.8, 0.4
     panels = SurvivorPanels.build(ctx_exp, np.array([sv]), np.array([xv]))
-    rate = float(hazard_window_rates(ctx_exp, panels, h)[0])
+    rate = float(hazard_window_rates(ctx_exp, panels, [h])[0, 0])
     prob = conditional_expectation(lambda r: 1.0 if r < sv + h else 0.0, sv, xv, ctx_exp)
     assert abs(rate - prob / h) < 1e-6 * max(prob / h, 1e-9)
 
@@ -651,7 +651,7 @@ def test_panel_kernels_are_tile_invariant():
     panels = SurvivorPanels.build(ctx, s, x)
     assert len(panels.groups) == 2
     assert np.any(s >= ctx.t_cut) and not np.any(panels.survivor[s >= ctx.t_cut])
-    rates = {h: hazard_window_rates(ctx, panels, h) for h in (0.05, 0.5)}
+    rates = dict(zip((0.05, 0.5), hazard_window_rates(ctx, panels, [0.05, 0.5])))
     for rows, _, edges, below in panels.groups:
         assert np.count_nonzero(rows) * 24 > TILE_ELEMENTS
         for j, i in enumerate(np.flatnonzero(rows)):
@@ -661,7 +661,7 @@ def test_panel_kernels_are_tile_invariant():
             assert one_edges.tobytes() == edges[j:j + 1].tobytes()
             assert one_below.tobytes() == below[j:j + 1].tobytes()
             for h, r in rates.items():
-                assert hazard_window_rates(ctx, one, h).tobytes() == r[i:i + 1].tobytes()
+                assert hazard_window_rates(ctx, one, [h])[0].tobytes() == r[i:i + 1].tobytes()
 
 
 def test_compensator_weights_peak_memory():
@@ -708,14 +708,18 @@ def test_hazard_window_rates_match_scalar_property(law, h, states):
     # Partial sums of the survivor's panels against the adaptive reference
     # over (s, min(s + h, t_cut)); states with frac near 1 reach the cut,
     # where the rate is exactly 1/h, and on uniform:1,3 a window that ends
-    # before the support starts holds no mass: the rate is exactly 0.
+    # before the support starts holds no mass: the rate is exactly 0.  The
+    # reference runs without an absolute tolerance: near lognormal:0,0.5's
+    # cut the scaled integrals are near 3e-9, where the default 1e-12 lets
+    # the adaptive rule stop 2.4e-5 off (s = 17.56, x = 2.4e-4, h = 1).
     ctx = ModelContext(parse_distribution(law))
+    ref = ModelContext(ctx.dist, QuadratureSpec(abs_tol=1e-300))
     lower = ctx.dist.quantile(0.0)
     cut = ctx.t_cut
     s = np.array([math.nextafter(frac * cut, 0.0) for frac, _, _ in states])
     x = np.array([_level(kind, m, h) for _, kind, m in states])
     panels = SurvivorPanels.build(ctx, s, x)
-    rates = hazard_window_rates(ctx, panels, h)
+    rates, = hazard_window_rates(ctx, panels, [h])
     for sv, xv, den, rv in zip(s.tolist(), x.tolist(), panels.survivor, rates):
         assert 0.0 <= rv <= 1.0 / h
         if sv + h >= cut:
@@ -725,12 +729,70 @@ def test_hazard_window_rates_match_scalar_property(law, h, states):
             assert rv == 0.0
             continue
         points = [*(_layer_points(sv, xv) or ()), *ctx.dist.breakpoints.tolist()]
-        num, _ = integrate_semi_infinite(_scaled_survivor_integrand(sv, xv, ctx),
-                                         sv, ctx.quad, truncation=sv + h,
+        num, _ = integrate_semi_infinite(_scaled_survivor_integrand(sv, xv, ref),
+                                         sv, ref.quad, truncation=sv + h,
                                          interior_points=points)
-        ref_den = _scaled_survivor(sv, xv, ctx)
+        ref_den = _scaled_survivor(sv, xv, ref)
         slow = num / ref_den / h if ref_den > 0.0 else 0.0
         assert abs(rv - slow) < 1e-6 * max(slow, 1e-9), (law, h, sv, xv)
+
+
+_MULTI_LAG_LAWS = {**{spec: ModelContext(parse_distribution(spec))
+                      for spec in ("exp:1.0", "gamma:2,2", "uniform:1,3")},
+                   "table21": ModelContext(_LAWS["table21"])}
+
+
+def _lag(kind, value, ctx):
+    """A window lag: free, one reaching the tail cut from every state (rate
+    exactly 1/h), or one below the rounding of every s >= 0.005 (rate 0)."""
+    return {"free": value, "cut": ctx.t_cut, "tiny": 1e-300}[kind]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(sorted(_MULTI_LAG_LAWS)),
+       states=st.lists(st.tuples(st.floats(0.005, 1.0),
+                                 st.sampled_from(["zero", "tiny", "free", "layer"]),
+                                 st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=6),
+       lags=st.lists(st.tuples(st.sampled_from(["free", "free", "cut", "tiny"]),
+                               st.floats(1e-3, 1.0)),
+                     min_size=1, max_size=5))
+# windows that end before uniform:1,3's support starts (s + h < 1), beside
+# one across its lower end and one reaching the cut
+@example(law="uniform:1,3",
+         states=[(0.05, "zero", 0.0), (0.1, "free", 0.3), (0.3, "layer", -0.5)],
+         lags=[("free", 0.2), ("cut", 0.0), ("free", 0.9), ("tiny", 0.0)])
+def test_hazard_window_rates_rows_are_one_lag_calls(law, states, lags):
+    # Every row of a multi-lag call has the bits of a one-lag call, for lags
+    # in any order, repeated or not.
+    ctx = _MULTI_LAG_LAWS[law]
+    cut = ctx.t_cut
+    s = np.array([math.nextafter(frac * cut, 0.0) for frac, _, _ in states])
+    x = np.array([_level(kind, m, 0.05) for _, kind, m in states])
+    h = [_lag(kind, value, ctx) for kind, value in lags]
+    panels = SurvivorPanels.build(ctx, s, x)
+    rows = hazard_window_rates(ctx, panels, h)
+    assert rows.shape == (len(h), len(s))
+    for (kind, _), hv, row in zip(lags, h, rows):
+        assert row.tobytes() == hazard_window_rates(ctx, panels, [hv])[0].tobytes()
+        if kind == "cut":
+            assert np.array_equal(row, np.where(panels.survivor > 0.0, 1.0 / hv, 0.0))
+        if kind == "tiny":
+            assert not np.any(row)
+        assert not np.any(row[s + hv < ctx.dist.quantile(0.0)])
+
+
+def test_hazard_window_rates_lag_lists(ctx_exp):
+    panels = SurvivorPanels.build(ctx_exp, np.array([0.5, 1.0, 1.5]),
+                                  np.array([0.2, -0.4, 0.0]))
+    for bad in (0.0, -0.1, math.inf, math.nan):
+        for lags in ([bad], [0.1, bad], [bad, 0.1, 0.2]):
+            with pytest.raises(DomainError):
+                hazard_window_rates(ctx_exp, panels, lags)
+    with pytest.raises(DomainError):
+        hazard_window_rates(ctx_exp, panels, [[0.1, 0.2]])
+    empty = hazard_window_rates(ctx_exp, panels, [])
+    assert empty.shape == (0, 3)
 
 
 def test_drift_table_matches_exact(ctx_exp):
