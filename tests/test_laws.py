@@ -602,10 +602,16 @@ def test_hazard_window_rates_match_scalar():
 
 
 def test_hazard_window_rates_reject_bad_input(ctx_exp):
+    # a bad lag anywhere in the list, or a list that is not 1-D; an empty
+    # list gives no rows
     panels = SurvivorPanels.build(ctx_exp, np.array([0.5, 1.0]), np.array([0.2, -0.4]))
     for h in (0.0, -0.1, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            hazard_window_rates(ctx_exp, panels, [h])
+        for lags in ([h], [0.1, h], [h, 0.1, 0.2]):
+            with pytest.raises(DomainError):
+                hazard_window_rates(ctx_exp, panels, lags)
+    with pytest.raises(DomainError):
+        hazard_window_rates(ctx_exp, panels, [[0.1, 0.2]])
+    assert hazard_window_rates(ctx_exp, panels, []).shape == (0, 2)
     # a lag below the spacing of floats at s leaves an empty window
     panels = SurvivorPanels.build(ctx_exp, np.array([1.0, 1.0]), np.array([0.0, 0.3]))
     assert np.array_equal(hazard_window_rates(ctx_exp, panels, [1e-17]), [[0.0, 0.0]])
@@ -780,19 +786,6 @@ def test_hazard_window_rates_rows_are_one_lag_calls(law, states, lags):
         if kind == "tiny":
             assert not np.any(row)
         assert not np.any(row[s + hv < ctx.dist.quantile(0.0)])
-
-
-def test_hazard_window_rates_lag_lists(ctx_exp):
-    panels = SurvivorPanels.build(ctx_exp, np.array([0.5, 1.0, 1.5]),
-                                  np.array([0.2, -0.4, 0.0]))
-    for bad in (0.0, -0.1, math.inf, math.nan):
-        for lags in ([bad], [0.1, bad], [bad, 0.1, 0.2]):
-            with pytest.raises(DomainError):
-                hazard_window_rates(ctx_exp, panels, lags)
-    with pytest.raises(DomainError):
-        hazard_window_rates(ctx_exp, panels, [[0.1, 0.2]])
-    empty = hazard_window_rates(ctx_exp, panels, [])
-    assert empty.shape == (0, 3)
 
 
 def test_drift_table_matches_exact(ctx_exp):
