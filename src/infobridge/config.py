@@ -67,13 +67,16 @@ class RunConfig:
             raise ConfigError(f"unknown local-time estimator {self.lt_estimator!r}")
         if self.lt_eps_coeff <= 0.0:
             raise ConfigError("lt_eps_coeff must be positive")
-        if self.lt_estimator == "occupation" and not (self.lt_eps_coeff <= 1e150
-                                                      and self.eps > 0.0):
+        if self.lt_estimator == "occupation" and not 1e-8 <= self.lt_eps_coeff <= 1e150:
             # the band credits square sqrt(2 dt / span) * lt_eps_coeff, which
             # overflows on a full step from lt_eps_coeff = 9.5e153 on: 1e150
-            # keeps every step longer than 1e-8 dt clear
-            raise ConfigError(f"lt_eps_coeff must lie in (0, 1e150] and give a positive "
-                              f"band half-width, got {self.lt_eps_coeff}")
+            # keeps every step longer than 1e-8 dt clear.  A credit is the
+            # difference of the two band ends' terms, which cancel as the band
+            # narrows: on exp:1.0 at dt 0.005 mean K(1) moves by 3e-8 relative
+            # at 1e-10 and 1.5e-5 at 1e-12, and is 0 at 1e-300.  The floor
+            # keeps that rounding near 3e-10 and the half-width positive.
+            raise ConfigError(f"lt_eps_coeff must lie in [1e-8, 1e150], "
+                              f"got {self.lt_eps_coeff}")
         if any(h <= 0.0 for h in self.kh):
             raise ConfigError("window lags must be positive")
         if not all(a > b for a, b in zip(self.kh, self.kh[1:])):

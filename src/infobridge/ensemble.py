@@ -72,7 +72,7 @@ class EnsembleJob:
     times: tuple                        # where H and K are recorded
     s_nodes: tuple                      # where beta is recorded
     kh: tuple = ()                      # window lags recorded at `times`
-    credit_table: object = None         # precomputed occupation step credits
+    credit_table: object = None         # occupation step length and band; no credits
     drift_table: object = None          # needed for b and its quadratic variation
     b_nodes: tuple = ()                 # where b is recorded
     qv_nodes: tuple = ()                # where the quadratic variation of b is recorded

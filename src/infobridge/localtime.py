@@ -17,9 +17,9 @@ the local time, is exposed as a residual for test gating rather than assumed.
 The band credits are closed-form: the expected time a Brownian bridge spends
 in the band is the band integral of its expected local time (Borodin and
 Salminen, *Handbook of Brownian Motion*, Part II 1.3.8), whose antiderivative
-in the level is elementary apart from one ``erfcx``.  Each step's credit
-depends on its own endpoints and span alone, so a credit table, a row of it
-and a single step give the same bits.
+in the level is elementary apart from one ``erfcx``.  They are the only
+credit route.  Each step's credit depends on its own endpoints and span
+alone, so a batch of paths, one path and a single step give the same bits.
 """
 
 import math
@@ -92,116 +92,20 @@ def _band_time_credits(a, b, spans, x, epsilon):
     return credits
 
 
+@dataclass(frozen=True)
 class BandCreditTable:
-    """Precomputed step credits for the occupation estimator.
+    """The step length and band half-width an ensemble's occupation credits
+    are computed for; it holds no credits.
 
-    For a fixed step length and band half-width, the expected in-band time
-    is a smooth function of the two endpoint values; large ensembles look it
-    up on a two-dimensional endpoint grid (dense inside the band, step-scale
-    spacing outside) instead of computing each step.  Irregular steps (the
-    partial step that ends at the default time) are always computed exactly,
-    and so are steps with one endpoint beyond the table.
-
-    The node count depends on epsilon / sqrt(span) alone (339 at 0.2, 97 at
-    1.0); above ``MAX_NODES`` it raises ``DomainError`` before allocating.
+    Every credit comes from ``_band_time_credits``.  The record stays, and so
+    does ``occupation_estimate``'s ``credit_table`` keyword, because the
+    benchmark's tracer wraps ``ensemble.BandCreditTable`` by name and tells
+    the per-path occupation route by that keyword; both go when the package
+    keeps its own stage timers (ROADMAP item 3).
     """
 
-    # 2048**2 float64 values are 32 MiB; on a 2-core Xeon a 1967-node table
-    # builds in 0.22 s, the 339-node one in 0.021 s.
-    MAX_NODES = 2048
-
-    def __init__(self, span, epsilon):
-        self.span = float(span)
-        self.epsilon = float(epsilon)
-        root = math.sqrt(span)
-        lim = epsilon + math.sqrt(_CROSSING_REACH2 * span)
-        fine_to = min(4.0 * epsilon + 2.0 * root, lim)
-        step_in, step_out = min(epsilon, root) / 10.0, root / 25.0
-        half_bound = fine_to / step_in + (lim - fine_to) / step_out + 3  # arange lengths
-        if not 2.0 * half_bound - 1.0 <= self.MAX_NODES:
-            raise DomainError(f"a credit table for band half-width {epsilon} at step "
-                              f"{span} needs more than {self.MAX_NODES} nodes")
-        inner = np.arange(0.0, fine_to, step_in)
-        outer = np.arange(fine_to, lim * (1 + 1e-9), step_out)
-        half = np.unique(np.concatenate([inner, outer, [lim]]))
-        self.nodes = np.concatenate([-half[::-1][:-1], half])
-        n = len(self.nodes)
-        spans = np.full(n, self.span)
-        self.table = np.empty((n, n))
-        for row, a in zip(self.table, self.nodes):
-            row[:] = _band_time_credits(np.full(n, a), self.nodes, spans, 0.0, epsilon)
-        self._flat = self.table.ravel()
-        self._gaps = np.diff(self.nodes)
-        self._build_cells()
-
-    def _build_cells(self):
-        """Bucketed cell index: uniform buckets of the endpoint axis, each
-        holding at most ``len(self._bucket_nodes)`` nodes.
-
-        A query q falls in bucket j = int((q - lo) * inv_width), with the
-        same float operations as the nodes' own buckets, so j is monotone in
-        q: every node of an earlier bucket lies below q and every node of a
-        later one above it.  The cell of q, ``searchsorted(nodes, q) - 1``,
-        is then the count of nodes in earlier buckets, minus one, plus the
-        count of bucket j's own nodes that lie below q.
-        """
-        nodes = self.nodes
-        lo = nodes[0]
-        # half the smallest gap keeps one node per bucket on the tables'
-        # piecewise-uniform grids; the floor bounds the bucket count when
-        # two nodes nearly coincide
-        width = max(np.min(self._gaps) / 2.0, (nodes[-1] - lo) / (8 * len(nodes)))
-        self._lo, self._inv_width = lo, 1.0 / width
-        node_bucket = self._bucket(nodes)
-        buckets = np.arange(node_bucket[-1] + 1)
-        first = np.searchsorted(node_bucket, buckets)   # first node of bucket >= j
-        per_bucket = int(np.max(np.bincount(node_bucket)))
-        padded = np.concatenate([nodes, np.full(per_bucket, np.inf)])
-        self._cell_base = first - 1
-        self._bucket_nodes = [padded[first + r] for r in range(per_bucket)]
-
-    def _bucket(self, q):
-        return ((q - self._lo) * self._inv_width).astype(np.intp)
-
-    def _cell(self, q):
-        """``np.searchsorted(self.nodes, q) - 1`` for ``|q| < nodes[-1]``."""
-        j = self._bucket(q)
-        cell = self._cell_base[j]
-        for node in self._bucket_nodes:
-            cell += node[j] < q
-        return cell
-
-    def credit(self, a, b):
-        """Bilinear lookup of the expected band time for endpoint arrays.
-
-        Returns the credits and the mask of the steps the table cannot
-        serve, those with one endpoint inside ``nodes[-1]`` and the other at
-        or beyond it; their lookup is 0 and ``_band_time_credits`` gives
-        their credit.  A step with both endpoints beyond the table on one
-        side is flushed like any step past the crossing reach; one that
-        jumps across the whole table moves by more than 7.4 standard
-        deviations, rarer than the excursions the flush drops.
-        """
-        lim = self.nodes[-1]
-        out = np.zeros(a.shape)
-        in_a = np.abs(a) < lim
-        in_b = np.abs(b) < lim
-        live = in_a & in_b
-        edge = in_a != in_b
-        if not live.any():
-            return out, edge
-        q = np.concatenate((a[live], b[live]))   # both endpoints in one pass
-        cell = self._cell(q)
-        w = (q - self.nodes[cell]) / self._gaps[cell]
-        u = 1 - w
-        m = len(q) // 2
-        wa, wb, ua, ub = w[:m], w[m:], u[:m], u[m:]
-        row = len(self.nodes)
-        k = cell[:m] * row + cell[m:]
-        flat = self._flat
-        out[live] = (ua * ub * flat[k] + wa * ub * flat[k + row]
-                     + ua * wb * flat[k + 1] + wa * wb * flat[k + row + 1])
-        return out, edge
+    span: float
+    epsilon: float
 
 
 def occupation_estimate(path, x, epsilon, credit_table=None):
@@ -227,10 +131,7 @@ def occupation_estimate(path, x, epsilon, credit_table=None):
     left knot lies before the default time, with the lengths
     ``path.spans``; the curve keeps its value after them.  On a batch of
     paths the live steps of every row go through the credits in one call.
-    With
-    ``credit_table`` (built for this ``epsilon``) the full-length steps are
-    looked up, and the partial step and the steps that leave the table are
-    computed exactly.
+    A ``credit_table`` changes no credit; it must be for this ``epsilon``.
     """
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
@@ -241,17 +142,7 @@ def occupation_estimate(path, x, epsilon, credit_table=None):
     spans = path.spans[..., :w][live]
     a = path.beta[..., :w][live]
     b = path.beta[..., 1:w + 1][live]
-    if credit_table is not None:
-        # every credit depends on its own step alone: look all steps up, then
-        # compute the irregular ones and those leaving the table over their
-        # table values
-        credits, edge = credit_table.credit(a - x, b - x)
-        irr = np.nonzero(edge | (np.abs(spans - credit_table.span)
-                                 > 1e-9 * credit_table.span))
-        if len(irr[0]):
-            credits[irr] = _band_time_credits(a[irr], b[irr], spans[irr], x, epsilon)
-    else:
-        credits = _band_time_credits(a, b, spans, x, epsilon)
+    credits = _band_time_credits(a, b, spans, x, epsilon)
     steps = np.zeros(path.beta[..., :w].shape)
     steps[live] = credits / (2.0 * epsilon)
     head = np.zeros(steps.shape[:-1] + (w + 1,))

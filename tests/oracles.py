@@ -114,27 +114,7 @@ def full_grid_spans(path):
     return np.clip(np.minimum(knots[1:], path.tau) - knots[:-1], 0.0, None)
 
 
-def searchsorted_credit(table, a, b):
-    """Bilinear credit lookup with ``np.searchsorted`` cells."""
-    nodes = table.nodes
-    lim = nodes[-1]
-    out = np.zeros(a.shape)
-    live = (np.abs(a) < lim) & (np.abs(b) < lim)
-    if not np.any(live):
-        return out
-    al, bl = a[live], b[live]
-    ia = np.clip(np.searchsorted(nodes, al) - 1, 0, len(nodes) - 2)
-    ib = np.clip(np.searchsorted(nodes, bl) - 1, 0, len(nodes) - 2)
-    wa = (al - nodes[ia]) / (nodes[ia + 1] - nodes[ia])
-    wb = (bl - nodes[ib]) / (nodes[ib + 1] - nodes[ib])
-    out[live] = ((1 - wa) * (1 - wb) * table.table[ia, ib]
-                 + wa * (1 - wb) * table.table[ia + 1, ib]
-                 + (1 - wa) * wb * table.table[ia, ib + 1]
-                 + wa * wb * table.table[ia + 1, ib + 1])
-    return out
-
-
-def full_grid_occupation(path, x, epsilon, table=None):
+def full_grid_occupation(path, x, epsilon):
     """Occupation local-time values, masking the steps at or after tau."""
     from infobridge.localtime import _band_time_credits
 
@@ -142,18 +122,7 @@ def full_grid_occupation(path, x, epsilon, table=None):
     spans = full_grid_spans(path)[live]
     a = path.beta[:-1][live]
     b = path.beta[1:][live]
-    if table is not None:
-        # irregular steps and steps with one endpoint beyond the table are
-        # computed exactly
-        regular = np.abs(spans - table.span) <= 1e-9 * table.span
-        lim = table.nodes[-1]
-        exact = ~regular | ((np.abs(a - x) < lim) != (np.abs(b - x) < lim))
-        credits = np.zeros(len(spans))
-        credits[regular] = searchsorted_credit(table, a[regular] - x, b[regular] - x)
-        if np.any(exact):
-            credits[exact] = _band_time_credits(a[exact], b[exact], spans[exact], x, epsilon)
-    else:
-        credits = _band_time_credits(a, b, spans, x, epsilon)
+    credits = _band_time_credits(a, b, spans, x, epsilon)
     incr = np.zeros(len(live))
     incr[live] = credits
     return np.concatenate([[0.0], np.cumsum(incr / (2.0 * epsilon))])
@@ -258,9 +227,8 @@ def full_curve_row(job, path):
 
     knots = path.grid.knots
     at = lambda ts: np.searchsorted(knots, np.asarray(ts, dtype=float))
-    table = job.credit_table if job.estimator == "occupation" else None
     lt = (full_grid_tanaka(path, 0.0) if job.estimator == "tanaka"
-          else full_grid_occupation(path, 0.0, job.eps, table))
+          else full_grid_occupation(path, 0.0, job.eps))
     t_idx = at(job.times)
     row = {"tau": path.tau,
            "H": np.asarray(job.times) >= path.tau,

@@ -24,7 +24,7 @@ EPS = math.sqrt(DT)
 CTX = ModelContext(parse_distribution("gamma:2,2"))
 GRIDS = (
     TimeGrid.regular(1.0, DT),
-    # irregular steps: the credit table serves only the steps of length DT
+    # irregular steps
     TimeGrid(np.unique(np.concatenate([np.linspace(0.0, 1.0, 21),
                                        [0.03, 0.12, 0.51, 0.98]]))),
 )

@@ -158,13 +158,21 @@ def test_law_with_non_finite_tail_cut_exits_2(tmp_path, monkeypatch):
 
 
 def test_oversized_credit_table_exits_2(tmp_path, monkeypatch):
-    # the node count is checked before the table is allocated
+    # an lt_eps_coeff outside [1e-8, 1e150] is refused before anything is
+    # written
     monkeypatch.setenv("INFOBRIDGE_WORKERS", "1")
-    for coeff in ("1e-300", "1e-3", "1e300"):
+    for coeff in ("1e-300", "1e300"):
         out = tmp_path / coeff
         cfg = _compensator_cfg(tmp_path, lt_eps_coeff=coeff)
         assert main(["compensator", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+    # a band far narrower than a step runs
+    out = tmp_path / "narrow"
+    cfg = _compensator_cfg(tmp_path, lt_eps_coeff="1e-3", paths="200")
+    assert main(["compensator", "--config", cfg, "--out", str(out)]) in (0, 1)
+    rows = _read(out / "curves.csv").decode().splitlines()[1:]
+    k = np.array([float(r.split(",")[3]) for r in rows])
+    assert len(k) == 400 and np.all(np.isfinite(k)) and k.max() > 0.0
 
 
 def _compensator_cfg(tmp_path, **extra):
@@ -291,31 +299,30 @@ def test_empty_report_times_is_config_error(tmp_path, monkeypatch):
 
 def test_convergence_gaps_are_the_ensemble_routes(tmp_path):
     """K^h and K have two routes: the convergence command's own per-path
-    loop and ``run_ensemble``'s chunks.  With Tanaka local times they agree
-    bit for bit: ``convergence.csv`` holds the mean of |K^h - K| summed over
-    the ensemble table's rows in path order.  With the occupation estimator
-    the two routes differ, by 9.0e-4 relative on this config, because only
-    the ensemble reads its band credits from the credit table.  Merging the
+    loop and ``run_ensemble``'s chunks.  With either local-time estimator
+    they agree bit for bit: ``convergence.csv`` holds the mean of |K^h - K|
+    summed over the ensemble table's rows in path order.  Merging the
     routes keeps this test as it is."""
-    cfg_path = tmp_path / "conv.cfg"
-    cfg_path.write_text("dist = gamma:2,2\ndt = 0.01\nt_max = 1.0\npaths = 40\n"
-                        "seed = 11\nlt_estimator = tanaka\nkh = 0.2,0.05\n"
-                        "report_times = 0.5,1.0\nresidual_pairs =\n")
-    out = tmp_path / "conv"
-    assert main(["convergence", "--config", str(cfg_path), "--out", str(out)]) in (0, 1)
-    rows = [line.split(",") for line in
-            _read(out / "convergence.csv").decode().splitlines()[1:]]
-    cfg = load_config(str(cfg_path), command="convergence")
-    job = build_job(ModelContext(parse_distribution(cfg.dist)),
-                    TimeGrid.regular(cfg.t_max, cfg.dt), cfg)
-    table = run_ensemble(job, cfg.paths, workers=1)
-    gaps = np.zeros(table.Kh.shape[1:])
-    for kh, k in zip(table.Kh, table.K):
-        gaps += np.abs(kh - k)
-    gaps /= cfg.paths
-    assert [(float(h), float(t)) for h, t, _ in rows] == [
-        (h, t) for h in cfg.kh for t in job.times]
-    assert np.array_equal([float(g) for _, _, g in rows], gaps.ravel())
+    for estimator in ("tanaka", "occupation"):
+        cfg_path = tmp_path / f"{estimator}.cfg"
+        cfg_path.write_text("dist = gamma:2,2\ndt = 0.01\nt_max = 1.0\npaths = 40\n"
+                            f"seed = 11\nlt_estimator = {estimator}\nkh = 0.2,0.05\n"
+                            "report_times = 0.5,1.0\nresidual_pairs =\n")
+        out = tmp_path / estimator
+        assert main(["convergence", "--config", str(cfg_path), "--out", str(out)]) in (0, 1)
+        rows = [line.split(",") for line in
+                _read(out / "convergence.csv").decode().splitlines()[1:]]
+        cfg = load_config(str(cfg_path), command="convergence")
+        job = build_job(ModelContext(parse_distribution(cfg.dist)),
+                        TimeGrid.regular(cfg.t_max, cfg.dt), cfg)
+        table = run_ensemble(job, cfg.paths, workers=1)
+        gaps = np.zeros(table.Kh.shape[1:])
+        for kh, k in zip(table.Kh, table.K):
+            gaps += np.abs(kh - k)
+        gaps /= cfg.paths
+        assert [(float(h), float(t)) for h, t, _ in rows] == [
+            (h, t) for h in cfg.kh for t in job.times]
+        assert np.array_equal([float(g) for _, _, g in rows], gaps.ravel())
 
 
 def test_convergence_requires_decreasing_h(tmp_path):

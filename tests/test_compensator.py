@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,12 +48,11 @@ def ctx_exp():
 
 
 def _job(ctx, dt=2e-3, t_max=1.0, seed=5150, zero_k=False, kh=()):
-    # eps = sqrt(dt) on the exact (table-less) occupation route.
+    # eps = sqrt(dt)
     cfg = RunConfig(dt=dt, t_max=t_max, seed=seed, lt_eps_coeff=1.0,
                     report_times=(0.5, 1.0),
                     residual_pairs=((0.5, 1.0),), kh=kh, zero_k=zero_k)
-    job = build_job(ctx, TimeGrid.regular(t_max, dt), cfg)
-    return replace(job, credit_table=None)
+    return build_job(ctx, TimeGrid.regular(t_max, dt), cfg)
 
 
 @pytest.fixture(scope="module")

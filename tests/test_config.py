@@ -113,6 +113,10 @@ def test_bad_value(tmp_path):
     # window lags are strictly decreasing for every command
     dict(kh=(0.1, 0.1)),
     dict(kh=(0.1, 0.2)),
+    # below the floor the two band ends' terms of a credit cancel
+    dict(lt_eps_coeff=9.9e-9),
+    dict(lt_eps_coeff=1e-12),
+    dict(lt_eps_coeff=1e-300),
 ])
 def test_base_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -124,6 +128,8 @@ def test_band_coefficient_is_bounded_only_for_the_occupation_estimator():
     RunConfig(lt_estimator="tanaka", lt_eps_coeff=1e300).validate()
     RunConfig(lt_estimator="tanaka", lt_eps_coeff=5e-324).validate()
     RunConfig(lt_eps_coeff=1e150).validate()
+    RunConfig(lt_eps_coeff=1e-8).validate()
+    RunConfig(lt_estimator="tanaka", lt_eps_coeff=1e-12).validate()
     with pytest.raises(ConfigError):
         RunConfig(lt_eps_coeff=1.01e150).validate()
     with pytest.raises(ConfigError):

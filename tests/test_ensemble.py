@@ -324,7 +324,7 @@ def test_tanaka_feed_config_switch(ctx):
 # gives tau -> c tau and the same normals give beta -> sqrt(c) beta, while
 # K and K^h (with h -> c h) are unchanged.  Occupation bands scale with
 # sqrt(dt), so one lt_eps_coeff serves both runs.  This exercises weights,
-# survivor panels, tail cuts, credit tables and window rates on every family.
+# survivor panels, tail cuts, band credits and window rates on every family.
 SCALED_LAWS = [
     ("exp:1.0", "exp:0.5", 2.0), ("exp:1.0", "exp:4.0", 0.25),
     ("gamma:2,2", "gamma:2,1", 2.0), ("uniform:0,3", "uniform:0,6", 2.0),

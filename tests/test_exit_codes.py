@@ -63,7 +63,7 @@ BAD_STRINGS = {
     "out": ("", "{file}/out"),
 }
 # Values that are bad only for their field: in range for the annotation.
-BAD_EXTRA = {"dt": ("1e-17",), "t_max": ("1e17",), "lt_eps_coeff": ("0.02", "100"),
+BAD_EXTRA = {"dt": ("1e-17",), "t_max": ("1e17",), "lt_eps_coeff": ("9.9e-9",),
              "seed": ("18446744073709551616", "100000000000000000000000000000"),
              "t": ("0", "3", "1.7976931348623157e308"), "x": ("0", "200")}
 # Items of the float tuples besides the bad numbers: times on and off the grids.

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from infobridge.paths import (
     sample_path_given_tau,
 )
 
-from oracles import adaptive_band_credit, full_grid_tanaka, searchsorted_credit
+from oracles import adaptive_band_credit, full_grid_tanaka
 
 
 @pytest.fixture(scope="module")
@@ -65,64 +64,30 @@ def test_occupation_rejects_credit_table_for_other_epsilon():
         occupation_estimate(_ramp_path(), 0.0, 0.25, credit_table=table)
 
 
-@pytest.mark.parametrize("dt, coeff", [(2.5e-4, 0.2), (0.01, 1.0), (0.005, 1.0)])
-def test_bucketed_cell_index_matches_searchsorted(dt, coeff):
-    table = BandCreditTable(dt, coeff * math.sqrt(dt))
-    nodes = table.nodes
-    lim = nodes[-1]
-    rng = np.random.default_rng(4242)
-    q = np.concatenate([
-        rng.uniform(-lim, lim, 200_000),
-        nodes[1:-1],
-        np.nextafter(nodes, -np.inf),
-        np.nextafter(nodes, np.inf),
-    ])
-    q = q[np.abs(q) < lim]
-    assert np.array_equal(table._cell(q), np.searchsorted(nodes, q) - 1)
-    # the lookup equals the searchsorted bilinear formula bit for bit, and
-    # the steps it leaves to the exact route have one endpoint off the table
-    a = rng.uniform(-1.1 * lim, 1.1 * lim, 50_000)
-    b = np.concatenate([a[1:] + rng.normal(0.0, math.sqrt(dt), len(a) - 1), q[:1]])
-    for x, y in ((a, b), (q, q[::-1]), (q, np.roll(q, 7))):
-        got, edge = table.credit(x, y)
-        assert got.tobytes() == searchsorted_credit(table, x, y).tobytes()
-        assert np.array_equal(edge, (np.abs(x) < lim) != (np.abs(y) < lim))
-
-
 def test_credit_table_edge_step_is_exact():
-    # A step from the band's centre to beyond the table's last node: the
-    # table alone would credit it 0, the estimator computes it exactly.
+    # The credit_table keyword changes no credit.  A batch with a partial
+    # step at tau, and steps from the band's centre at 0 and at -0.3 to
+    # beyond eps + sqrt(14 span), where a lookup table of endpoint credits
+    # would end, read at levels on and off 0.
     span, eps = 1.0 / 512.0, 0.1
-    table = BandCreditTable(span, eps)
-    lim = table.nodes[-1]
-    beta = np.zeros(1025)
-    beta[2:] = lim
-    p = InformationPath(9.0, TimeGrid(np.arange(1025) / 512.0), beta)
-    credit = _band_time_credits(beta[1:2], beta[2:3], np.array([span]), 0.0, eps)[0]
+    reach = eps + math.sqrt(14.0 * span)
+    rng = np.random.default_rng(77)
+    beta = np.zeros((3, 1025))
+    beta[0, 2:] = reach
+    beta[1, 1:3], beta[1, 3:] = -0.3, -0.3 - reach
+    beta[2, 1:] = np.cumsum(rng.normal(0.0, math.sqrt(span), 1024))
+    tau = np.array([9.0, 9.0, 700.4 / 512.0])
+    beta[2, 701:] = 0.0
+    p = InformationPath(tau, TimeGrid(np.arange(1025) / 512.0), beta)
+    assert 0.0 < p.spans[2, 700] < span
+    record = BandCreditTable(span, eps)
+    for x in (0.0, -0.3, 0.05, reach):
+        got = occupation_estimate(p, x, eps, credit_table=record).values
+        assert got.tobytes() == occupation_estimate(p, x, eps).values.tobytes()
+    credit = _band_time_credits(np.zeros(1), np.full(1, reach), np.array([span]), 0.0, eps)[0]
     assert 0.1 * span < credit < 0.5 * span
-    assert table.credit(beta[1:2], beta[2:3])[0][0] == 0.0
-    with_table = occupation_estimate(p, 0.0, eps, credit_table=table).values
-    exact = occupation_estimate(p, 0.0, eps).values
-    assert with_table[2] - with_table[1] == pytest.approx(credit / (2.0 * eps), rel=1e-12)
-    np.testing.assert_allclose(with_table, exact, rtol=1e-6)
-
-
-def test_credit_table_is_tile_invariant_and_small():
-    # The table is one call per a-row, and one call over all node pairs
-    # gives the same bits.  The 339-node table itself is 0.9 MiB; built
-    # from full-size node-pair arrays it would peak near 10 MiB.
-    span, eps = 2.5e-4, 0.2 * math.sqrt(2.5e-4)
-    tracemalloc.start()
-    try:
-        table = BandCreditTable(span, eps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
-    aa, bb = np.meshgrid(table.nodes, table.nodes, indexing="ij")
-    pairs = _band_time_credits(aa.ravel(), bb.ravel(), np.full(aa.size, span),
-                               0.0, eps)
-    assert pairs.tobytes() == table.table.tobytes()
+    got = occupation_estimate(p, 0.0, eps, credit_table=record).values
+    assert got[0, 2] - got[0, 1] == pytest.approx(credit / (2.0 * eps), rel=1e-12)
 
 
 def _band_edge_cases():
@@ -179,14 +144,6 @@ def test_widest_configurable_band_does_not_overflow(ctx_exp):
             p = sample_path_direct(ctx_exp, grid, RandomStream(31, i))
             lt = occupation_estimate(p, 0.0, 1e150 * dt ** 0.5)
             assert np.all(np.isfinite(lt.values)) and np.all(lt.values >= 0.0)
-
-
-@pytest.mark.parametrize("ratio", [1e-300, 1e-3, 0.02, 100.0, 1e300])
-def test_credit_table_above_node_cap_is_domain_error(ratio):
-    # epsilon / sqrt(span) alone sets the node count; 0.02 would need 2167
-    # nodes and 100 would need 2077, above the cap of 2048
-    with pytest.raises(DomainError):
-        BandCreditTable(0.01, ratio * 0.1)
 
 
 def test_tanaka_raw_is_zero_for_constant_sign(ctx_exp):

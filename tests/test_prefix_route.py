@@ -84,7 +84,7 @@ def _check(ctx, grid, w, make_gen, eps, table):
     _same(path.spans, full_grid_spans(path))
     for x in (0.0, 0.6 * eps):
         lt = occupation_estimate(path, x, eps, credit_table=table)
-        _same(lt.values, full_grid_occupation(path, x, eps, table))
+        _same(lt.values, full_grid_occupation(path, x, eps))
         _same(occupation_estimate(path, x, eps).values,
               full_grid_occupation(path, x, eps))
     for x in (0.0, -0.05):
