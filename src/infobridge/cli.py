@@ -51,7 +51,6 @@ from .ensemble import (
 from .errors import ConfigError, DomainError, InfoBridgeError, InsufficientPaths
 from .localtime import occupation_estimate, tanaka_estimate
 from .paths import RandomStream, TimeGrid, sample_path_direct
-from .quadrature import QuadratureSpec
 
 EXIT_OK = 0
 EXIT_GATE_FAIL = 1
@@ -60,9 +59,7 @@ EXIT_IO = 3
 
 
 def _context(cfg):
-    quad = QuadratureSpec(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                          tail_cutoff_mass=cfg.tail_cutoff_mass)
-    ctx = laws.ModelContext(parse_distribution(cfg.dist), quad)
+    ctx = laws.ModelContext(parse_distribution(cfg.dist))
     ctx.t_cut  # a non-finite cut stops every subcommand before it writes
     return ctx
 
@@ -142,8 +139,7 @@ def cmd_compensator(cfg):
         table = run_ensemble(job, cfg.paths)
         report = summarize_table(table, ctx, cfg.report_times,
                                  residual_matrix=cfg.residual_pairs,
-                                 functionals=cfg.functionals,
-                                 gate_multiplier=cfg.gate_multiplier)
+                                 functionals=cfg.functionals)
     except InsufficientPaths as exc:
         with open(os.path.join(_outdir(cfg), "report.txt"), "w", newline="") as fh:
             fh.write(f"FAIL insufficient paths: {exc}\n")

@@ -15,9 +15,9 @@ with the window approximation
 
 whose h -> 0 limit recovers K, and the averaged Gaussian kernel that stands
 in for the local-time measure in that limit.  The conditional rates of
-every lag of a path come from one ``window_rates`` call, which builds the
-path's survivor panels once; ``laplacian_approximation`` integrates one
-lag's rates along the path.  The martingale test itself
+every lag come from one ``window_rates`` call, which builds the survivor
+panels of a path, or of a batch of paths, once; ``laplacian_approximation``
+integrates one lag's rates along each path.  The martingale test itself
 (functionals, reductions and the gate verdict) lives in ``ensemble``.
 """
 
@@ -78,37 +78,34 @@ def compensator_curve(path, lt, weights):
     return path.stopped(head)
 
 
-def _window_knots(path, ctx):
-    """Left knots of the steps that carry a window rate: positive knots
-    before both the default time and the tail cut."""
-    left = np.arange(1, len(path.grid.knots) - 1)
-    return left[path.grid.knots[left] < min(path.tau, ctx.t_cut)]
-
-
 @dataclass(frozen=True)
 class WindowRates:
-    """The window rates of one path at every lag: ``rates[a]`` holds the
-    rate of lag ``lags[a]`` at each window state (``s``, ``x`` = |beta|)."""
+    """The window rates of ``path`` (one path or a batch) at every lag:
+    ``steps`` marks the steps whose left knot is positive and lies before
+    both the default time and the tail cut, one row per path, and
+    ``rates[a]`` holds lag ``lags[a]``'s rate at them in row-major order."""
 
+    path: object
     lags: tuple
-    s: np.ndarray
-    x: np.ndarray
+    steps: np.ndarray
     rates: np.ndarray
 
 
 def window_rates(path, ctx, lags):
-    """The conditional window rates of ``path`` at its window knots, for
-    every lag of ``lags`` at once.
+    """The conditional window rates of ``path`` at its marked steps' left
+    knots, for every lag of ``lags`` at once.
 
-    The path's survivor panels (``laws.SurvivorPanels``) are built once: the
-    survivor is the denominator of every rate, and partial sums of its
-    panels give every lag's numerator, all lags in one
-    ``laws.hazard_window_rates`` call.  ``laplacian_approximation`` reads
-    one lag's row of the record.
+    One ``laws.SurvivorPanels`` holds the marked states of every row: its
+    survivor is every rate's denominator, and partial sums of its panels
+    give every lag's numerator in one ``laws.hazard_window_rates`` call.
+    Each state is a row of its own in both, so a batch row has the bits of
+    its one-path call.
     """
-    idx = _window_knots(path, ctx)
-    panels = laws.SurvivorPanels.build(ctx, path.grid.knots[idx], path.beta[idx])
-    return WindowRates(tuple(float(h) for h in lags), panels.s, panels.x,
+    left = path.grid.knots[:-1]
+    steps = (left > 0.0) & (left < np.minimum(path.tau, ctx.t_cut)[..., None])
+    panels = laws.SurvivorPanels.build(ctx, np.broadcast_to(left, steps.shape)[steps],
+                                       path.beta[..., :-1][steps])
+    return WindowRates(path, tuple(float(h) for h in lags), steps,
                        laws.hazard_window_rates(ctx, panels, lags))
 
 
@@ -120,27 +117,22 @@ def laplacian_approximation(path, h, ctx, window):
     the left knot; steps from the default time on contribute nothing (the
     conditional jump probability is zero once the default has happened).
     Time zero lies outside the law domain, so the step out of it uses the
-    rate of the first positive knot.
-
-    ``window`` is ``window_rates(path, ctx, lags)`` with h among its lags,
-    shared by every lag of the path.
+    rate of step 1 (0 when step 1 carries none).  On a batch, one curve per
+    row.  ``window`` is ``window_rates(path, ctx, lags)`` for this path
+    object, with h among its lags.
     """
+    if window.path is not path:
+        raise DomainError("window rates belong to another path object")
     if h not in window.lags:
         raise DomainError(f"window lag {h} is not one of the record's lags {window.lags}")
-    knots = path.grid.knots
     spans = path.spans
-    incr = np.zeros(len(spans))
-    idx = _window_knots(path, ctx)
-    if not (np.array_equal(window.s, knots[idx])
-            and np.array_equal(window.x, np.abs(path.beta[idx]))):
-        raise DomainError("window rates belong to other states than the "
-                          "window knots of this path")
-    if len(idx):
-        rates = window.rates[window.lags.index(h)]
-        incr[idx] = spans[idx] * rates
-        if knots[0] < path.tau and idx[0] == 1:
-            incr[0] = spans[0] * rates[0]
-    return np.concatenate([[0.0], np.cumsum(incr)])
+    rate = np.zeros(spans.shape)
+    rate[window.steps] = window.rates[window.lags.index(h)]
+    if rate.shape[-1] > 1:
+        rate[..., 0] = rate[..., 1]
+    out = np.zeros(path.beta.shape)
+    np.cumsum(spans * rate, axis=-1, out=out[..., 1:])
+    return out
 
 
 def averaged_gaussian_kernel(h, x):

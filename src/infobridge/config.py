@@ -36,7 +36,8 @@ class RunConfig:
 
     # Numerical and gate policy, the same for every run and so not config
     # keys: the quadrature tolerances, the law mass left beyond the tail cut
-    # and the gates' multiple of a standard error.
+    # and the gates' multiple of a standard error.  Only perfbench/workloads.py
+    # reads them here; the package uses the defaults they alias.
     rel_tol: ClassVar[float] = QuadratureSpec.rel_tol
     abs_tol: ClassVar[float] = QuadratureSpec.abs_tol
     tail_cutoff_mass: ClassVar[float] = QuadratureSpec.tail_cutoff_mass

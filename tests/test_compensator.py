@@ -156,12 +156,17 @@ def test_window_rejects_bad_lag(ctx_exp):
 
 
 def test_window_rejects_other_paths_survivor(ctx_exp):
-    # The record of another path, even with this path's lag, is refused.
+    # The record of another path object, even with this path's lag, is
+    # refused: another path, a batch holding this path as a row, and an
+    # equal copy of this path.
     grid = TimeGrid.regular(1.0, 0.1)
     p = sample_path_direct(ctx_exp, grid, RandomStream(3, 0))
     other = sample_path_direct(ctx_exp, grid, RandomStream(3, 1))
-    with pytest.raises(DomainError):
-        laplacian_approximation(p, 0.1, ctx_exp, window_rates(other, ctx_exp, [0.1]))
+    batch = InformationPath(np.array([p.tau, other.tau]), grid, np.stack([p.beta, other.beta]))
+    copy = InformationPath(p.tau, p.grid, p.beta.copy())
+    for owner in (other, batch, copy):
+        with pytest.raises(DomainError):
+            laplacian_approximation(p, 0.1, ctx_exp, window_rates(owner, ctx_exp, [0.1]))
 
 
 def test_ensemble_window_matches_path_curves(ctx_exp):

@@ -1,5 +1,6 @@
 """Every top-level import in the package, the tests and the demos is used,
-and the command line does not pull in scipy.stats.
+the command line does not pull in scipy.stats, and it leaves the quadrature
+policy to its defaults.
 
 A stdlib ``ast`` scan stands in for a linter: a name bound by a module-level
 ``import`` must be read somewhere in the module, or be listed in its
@@ -57,3 +58,11 @@ def test_cli_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_leaves_quadrature_policy_to_its_defaults():
+    # every command builds its context with the default QuadratureSpec, so
+    # the CLI imports nothing from the quadrature module
+    tree = ast.parse((ROOT / "src" / "infobridge" / "cli.py").read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "quadrature"]
