@@ -34,7 +34,7 @@ for i in range(5):
 print()
 print("Conditional construction (pinning horizon fixed at r = 1.5):")
 for i in range(3):
-    p = sample_path_given_tau(1.5, ctx, grid, RandomStream(8, i))
+    p = sample_path_given_tau(1.5, grid, RandomStream(8, i))
     after = p.beta[p.grid.knots >= 1.5]
     print(f"  path {i}: beta at the horizon and beyond is exactly zero: "
           f"{np.all(after == 0.0)}")

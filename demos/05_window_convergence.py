@@ -42,7 +42,7 @@ for i in range(n):
     lt = occupation_estimate(p, 0.0, math.sqrt(dt))
     k1 = compensator_curve(p, lt, weights)[p.grid.index_of(1.0)]
     window = window_rates(p, ctx, lags)  # every lag's rates from one pass
-    gaps = [abs(laplacian_approximation(p, h, ctx, window)[p.grid.index_of(1.0)]
+    gaps = [abs(laplacian_approximation(p, h, window)[p.grid.index_of(1.0)]
                 - k1) for h in lags]
     sums += gaps
     print(f"  {i:4d}   " + "   ".join(f"{g:7.4f}" for g in gaps))

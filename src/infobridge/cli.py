@@ -20,6 +20,9 @@ simulate, convergence   --dist --paths --dt --t-max --seed --out
 compensator             the same plus --zero-k
 survival                --dist --dt --t-max --out, and the state --t --x
 
+Every file goes through one save call, ``_save``, which creates ``--out``;
+a run that exits with code 2 saves nothing and so creates no directory.
+
 Exit codes: 0 success / all gates pass, 1 gate failure, 2 configuration
 error, 3 I/O error.  The compensator's worker count comes from the
 INFOBRIDGE_WORKERS environment variable (default and cap: available CPUs);
@@ -40,13 +43,13 @@ from .config import FIELD_TYPES, load_config
 from .distributions import parse_distribution
 from .ensemble import (
     build_job,
+    csv_rows,
     run_ensemble,
     summarize_table,
     write_curves_csv,
     write_paths_csv,
     write_residuals_csv,
     write_summary_csv,
-    _fmt,
 )
 from .errors import ConfigError, DomainError, InfoBridgeError, InsufficientPaths
 from .localtime import occupation_estimate, tanaka_estimate
@@ -64,14 +67,21 @@ def _context(cfg):
     return ctx
 
 
-def _outdir(cfg):
+def _save(cfg, name, write, obj):
+    """Write ``obj`` to the file ``name`` in ``cfg.out``, creating the
+    directory, through ``write(obj, fh)``."""
     os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
+    with open(os.path.join(cfg.out, name), "w", newline="") as fh:
+        write(obj, fh)
+
+
+def _write_text(text, fh):
+    fh.write(text)
 
 
 def _check_outdir(cfg):
     """Raise before a long run, creating nothing, the I/O error that
-    ``_outdir`` would raise after it: the nearest existing ancestor of
+    ``_save`` would raise after it: the nearest existing ancestor of
     ``cfg.out`` must be a writable directory."""
     base = os.path.abspath(cfg.out) if cfg.out else ""
     while base and not os.path.exists(base):
@@ -83,11 +93,9 @@ def _check_outdir(cfg):
 def cmd_simulate(cfg):
     ctx = _context(cfg)
     grid = TimeGrid.regular(cfg.t_max, cfg.dt)
-    out = _outdir(cfg)
     paths = (sample_path_direct(ctx, grid, RandomStream(cfg.seed, i))
              for i in range(cfg.paths))
-    with open(os.path.join(out, "paths.csv"), "w", newline="") as fh:
-        write_paths_csv(paths, fh)
+    _save(cfg, "paths.csv", write_paths_csv, paths)
     return EXIT_OK
 
 
@@ -104,11 +112,7 @@ def cmd_survival(cfg, t, x):
     if us[0] != t:
         us = np.concatenate([[t], us])
     probs = [laws.survival_probability(t, float(u), x, ctx) for u in us]
-    out = _outdir(cfg)
-    with open(os.path.join(out, "survival.csv"), "w", newline="") as fh:
-        fh.write("u,P_tau_gt_u\n")
-        for u, p in zip(us, probs):
-            fh.write(f"{_fmt(u)},{_fmt(p)}\n")
+    _save(cfg, "survival.csv", _write_text, "u,P_tau_gt_u\n" + csv_rows(us, probs))
     return EXIT_OK
 
 
@@ -141,22 +145,15 @@ def cmd_compensator(cfg):
                                  residual_matrix=cfg.residual_pairs,
                                  functionals=cfg.functionals)
     except InsufficientPaths as exc:
-        with open(os.path.join(_outdir(cfg), "report.txt"), "w", newline="") as fh:
-            fh.write(f"FAIL insufficient paths: {exc}\n")
+        _save(cfg, "report.txt", _write_text, f"FAIL insufficient paths: {exc}\n")
         return EXIT_GATE_FAIL
-    out = _outdir(cfg)
-    with open(os.path.join(out, "curves.csv"), "w", newline="") as fh:
-        write_curves_csv(table, fh)
-    with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
-        write_summary_csv(report, fh)
-    with open(os.path.join(out, "residuals.csv"), "w", newline="") as fh:
-        write_residuals_csv(report, fh)
+    _save(cfg, "curves.csv", write_curves_csv, table)
+    _save(cfg, "summary.csv", write_summary_csv, report)
+    _save(cfg, "residuals.csv", write_residuals_csv, report)
     lines, ok = _gate_lines(report)
-    with open(os.path.join(out, "report.txt"), "w", newline="") as fh:
-        fh.write(f"paths: {report.n_paths}\n")
-        for line in lines:
-            fh.write(line + "\n")
-        fh.write(("ALL GATES PASS" if ok else "GATE FAILURES PRESENT") + "\n")
+    lines = [f"paths: {report.n_paths}", *lines,
+             "ALL GATES PASS" if ok else "GATE FAILURES PRESENT"]
+    _save(cfg, "report.txt", _write_text, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_GATE_FAIL
 
 
@@ -178,15 +175,11 @@ def cmd_convergence(cfg):
         kref = curve.K[idx]
         window = window_rates(path, ctx, cfg.kh)
         for a, h in enumerate(cfg.kh):
-            kh = laplacian_approximation(path, h, ctx, window)[idx]
+            kh = laplacian_approximation(path, h, window)[idx]
             gaps[a] += np.abs(kh - kref)
     gaps /= cfg.paths
-    out = _outdir(cfg)
-    with open(os.path.join(out, "convergence.csv"), "w", newline="") as fh:
-        fh.write("h,t,abs_gap_Kh_K\n")
-        for a, h in enumerate(cfg.kh):
-            for j, t in enumerate(times):
-                fh.write(f"{_fmt(h)},{_fmt(t)},{_fmt(gaps[a, j])}\n")
+    _save(cfg, "convergence.csv", _write_text, "h,t,abs_gap_Kh_K\n" + csv_rows(
+        np.repeat(cfg.kh, len(times)), np.tile(times, len(cfg.kh)), gaps.ravel()))
     lines = []
     ok_all = True
     for j, t in enumerate(times):
@@ -198,10 +191,8 @@ def cmd_convergence(cfg):
         lines.append(f"{'PASS' if ok else 'FAIL'} TREND t={t:g}: gaps "
                      + " > ".join(f"{g:.6f}" for g in gaps[:, j])
                      + (" decreasing" if ok else " not decreasing"))
-    with open(os.path.join(out, "report.txt"), "w", newline="") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-        fh.write(("TREND OK" if ok_all else "TREND FAILURES PRESENT") + "\n")
+    lines.append("TREND OK" if ok_all else "TREND FAILURES PRESENT")
+    _save(cfg, "report.txt", _write_text, "\n".join(lines) + "\n")
     return EXIT_OK if ok_all else EXIT_GATE_FAIL
 
 

@@ -109,7 +109,7 @@ def window_rates(path, ctx, lags):
                        laws.hazard_window_rates(ctx, panels, lags))
 
 
-def laplacian_approximation(path, h, ctx, window):
+def laplacian_approximation(path, h, window):
     """Window approximation of the compensator with lag h.
 
     Each step before the default time contributes its length times the

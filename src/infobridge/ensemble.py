@@ -12,18 +12,20 @@ at ``s_nodes``, b at ``b_nodes``, its quadratic variation at ``qv_nodes``,
 each ``lt_probe`` time) reads the paths only up to its last knot:
 ``run_ensemble`` maps every recorded time to its knot once per run
 (``_KnotPlan``) and the curves of a group are computed on the head of the
-sub-batch ending there.  b and its quadratic variation are recorded only
-with a drift table, and b is recovered only for a job that records either
-of them.  Every row of a batched stage has the bits of that path run alone
-(``paths`` says why).  Path ``i`` always uses the stream keyed by (master
-seed, i), chunk and sub-batch boundaries do not depend on the worker count,
-and blocks are written back by chunk index, so the assembled arrays — and
-every CSV derived from them — are bit-identical no matter how many
-processes run the job.
+sub-batch ending there (the head of H, K and K^h reaches knot 2 at least,
+for the rate K^h's first step borrows).  b and its quadratic variation are
+recorded only with a drift table, and b is recovered only for a job that
+records either of them.  Every row of a batched stage has the bits of that
+path run alone (``paths`` says why).  Path ``i`` always uses the stream
+keyed by (master seed, i), chunk and sub-batch boundaries do not depend on
+the worker count, and blocks are written back by chunk index, so the
+assembled arrays — and every CSV derived from them — are bit-identical no
+matter how many processes run the job.
 
 The reductions (means, standard errors, martingale residuals of the test
 functionals) work on the assembled table; they are the only route from paths
 to an EnsembleReport, whose ``gates()`` list is the one martingale verdict.
+Every CSV table, here and in ``cli``, is a header line and ``csv_rows`` rows.
 """
 
 import math
@@ -49,6 +51,7 @@ __all__ = [
     "EnsembleReport",
     "table_martingale_residual",
     "summarize_table",
+    "csv_rows",
     "write_paths_csv",
     "write_curves_csv",
     "write_summary_csv",
@@ -158,16 +161,16 @@ def _empty_block(job, n):
 @dataclass(frozen=True)
 class _Knots:
     """One recorded group: the grid index of each of its times, and the
-    prefix of the grid that ends at its last knot (the grid itself when
-    that knot ends the grid)."""
+    prefix of the grid that ends at its last knot, or at knot ``least - 1``
+    if that is later (the grid itself when that knot ends the grid)."""
 
     index: np.ndarray
     grid: TimeGrid
 
     @classmethod
-    def of(cls, grid, times):
+    def of(cls, grid, times, least=1):
         index = np.array([grid.index_of(t) for t in times], dtype=np.intp)
-        end = int(index.max()) + 1 if len(index) else 1
+        end = max(int(index.max()) + 1 if len(index) else 1, least)
         if end < len(grid.knots):
             grid = TimeGrid(grid.knots[:end])
         return cls(index, grid)
@@ -186,7 +189,8 @@ class _KnotPlan:
     a time off the grid raises ``DomainError`` before any path runs, and so
     does a job that records b or its quadratic variation without a drift
     table.  Both come from one drift recovery on the longer of their two
-    heads.
+    heads.  The head of ``times`` reaches knot 2 at least: K^h's step out of
+    time zero borrows the rate of step 1, which ends there.
     """
 
     times: _Knots
@@ -202,7 +206,7 @@ class _KnotPlan:
             raise DomainError("b_nodes and qv_nodes need a drift_table")
         grid = job.grid
         b, qv = _Knots.of(grid, job.b_nodes), _Knots.of(grid, job.qv_nodes)
-        return cls(times=_Knots.of(grid, job.times),
+        return cls(times=_Knots.of(grid, job.times, least=3),
                    s_nodes=_Knots.of(grid, job.s_nodes),
                    b_nodes=b, qv_nodes=qv,
                    drift=max(b, qv, key=lambda g: len(g.grid.knots)),
@@ -243,7 +247,7 @@ def _record_rows(job, plan, batch, block, rows):
             window = window_rates(head, job.ctx, job.kh)
             for a, h in enumerate(job.kh):
                 block["Kh"][rows, a] = laplacian_approximation(
-                    head, h, job.ctx, window)[..., t_idx]
+                    head, h, window)[..., t_idx]
     if job.b_nodes or job.qv_nodes:
         b = paths.recover_b(plan.drift.head(tau, beta), job.drift_table)
         block["b"][rows] = b[..., plan.b_nodes.index]
@@ -464,41 +468,46 @@ def summarize_table(table, ctx, report_times, residual_matrix=(),
 # CSV artifacts (17 significant digits, locale-free)
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def csv_rows(*columns):
+    """CSV lines, each ending in a newline, of equal-length columns read
+    across: floats with 17 significant digits, integers and booleans as
+    integers, strings as they are."""
+    cells = [_cells(np.asarray(c)) for c in columns]
+    return "".join(",".join(row) + "\n" for row in zip(*cells, strict=True))
+
+
+def _cells(values):
+    if values.dtype.kind == "f":
+        return [format(v, ".17g") for v in values.tolist()]
+    if values.dtype.kind == "b":
+        values = values.astype(int)
+    return [str(v) for v in values.tolist()]
 
 
 def write_paths_csv(paths, fh):
-    """``path_id,t,beta,in_default`` with one row per knot per path."""
+    """``path_id,t,beta,in_default``, one row per knot, a path at a time."""
     fh.write("path_id,t,beta,in_default\n")
     for i, p in enumerate(paths):
-        mask = p.grid.knots >= p.tau
-        for t, b, d in zip(p.grid.knots, p.beta, mask):
-            fh.write(f"{i},{_fmt(t)},{_fmt(b)},{1 if d else 0}\n")
+        knots = p.grid.knots
+        fh.write(csv_rows(np.full(len(knots), i), knots, p.beta, knots >= p.tau))
 
 
 def write_curves_csv(table, fh):
-    """``path_id,t,H,K`` (+ ``Kh_<h>`` per configured lag) at the report times."""
-    heads = "".join(f",Kh_{h:g}" for h in table.job.kh)
-    fh.write("path_id,t,H,K" + heads + "\n")
-    for i in range(table.n_paths):
-        for j, t in enumerate(table.job.times):
-            extra = "".join("," + _fmt(table.Kh[i, a, j])
-                            for a in range(len(table.job.kh)))
-            fh.write(f"{i},{_fmt(t)},{_fmt(table.H[i, j])},{_fmt(table.K[i, j])}"
-                     + extra + "\n")
+    """``path_id,t,H,K`` (+ ``Kh_<h>`` per lag) at the report times, a chunk at a time."""
+    times = table.job.times
+    fh.write("path_id,t,H,K" + "".join(f",Kh_{h:g}" for h in table.job.kh) + "\n")
+    for a, b in _chunks(table.n_paths):
+        fh.write(csv_rows(np.repeat(np.arange(a, b), len(times)), np.tile(times, b - a),
+                          table.H[a:b].ravel(), table.K[a:b].ravel(),
+                          *(kh.ravel() for kh in np.moveaxis(table.Kh[a:b], 1, 0))))
 
 
 def write_summary_csv(report, fh):
     fh.write("t,mean_H,mean_K,F_t,stderr_H,stderr_K\n")
-    for j in range(len(report.times)):
-        fh.write(",".join(_fmt(v) for v in (
-            report.times[j], report.mean_H[j], report.mean_K[j], report.F[j],
-            report.stderr_H[j], report.stderr_K[j])) + "\n")
+    fh.write(csv_rows(report.times, report.mean_H, report.mean_K, report.F,
+                      report.stderr_H, report.stderr_K))
 
 
 def write_residuals_csv(report, fh):
     fh.write("s,t,functional,residual,stderr,pass\n")
-    for (s, t, label, res, se, ok) in report.residuals:
-        fh.write(f"{_fmt(s)},{_fmt(t)},{label},{_fmt(res)},{_fmt(se)},"
-                 f"{1 if ok else 0}\n")
+    fh.write(csv_rows(*zip(*report.residuals)))

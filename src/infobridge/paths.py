@@ -159,10 +159,15 @@ class InformationPath:
 
     def stopped(self, head):
         """A curve on the path grid stopped at the default time: ``head``
-        holds its values on knots ``0 .. live_steps`` (on a batch, each row
-        up to its own count, the batch up to the largest) and the curve
-        keeps each row's value at its count after it."""
-        return _held(head, self.live_steps, self.live[1], len(self.grid.knots))
+        holds its values on the knots of the steps it sums, and the curve
+        keeps its last value after them.  On a batch ``head`` runs as far
+        as its longest row, and every row must already hold its own last
+        value on the knots after its steps: each curve here is a running
+        sum or maximum whose steps past a row's count are exactly zero."""
+        out = np.empty(head.shape[:-1] + (len(self.grid.knots),))
+        out[..., :head.shape[-1]] = head
+        out[..., head.shape[-1]:] = head[..., -1:]
+        return out
 
     def validate(self):
         """Check the exact-zero encoding of the default state."""
@@ -189,21 +194,6 @@ def _steps_before(n):
         return int(n), ...
     w = int(n.max())
     return w, (... if n.min() == w else np.arange(w) < n[:, None])
-
-
-def _held(head, n, live, width):
-    """``head`` on knots ``0 .. n`` of each row, then its value at ``n``,
-    on ``width`` knots; ``live`` is ``_steps_before(n)[1]``."""
-    out = np.empty(head.shape[:-1] + (width,))
-    k = head.shape[-1]  # one knot more than the largest count
-    out[..., :k] = head
-    if live is ...:
-        out[..., k:] = head[..., -1:]
-    else:
-        last = np.take_along_axis(head, n[:, None], axis=-1)
-        out[..., k:] = last
-        np.copyto(out[..., 1:k], last, where=~live)  # knots after a row's steps
-    return out
 
 
 def _generator_of(rng):
@@ -244,7 +234,7 @@ def sample_path_direct(ctx, grid, rng):
     return path
 
 
-def sample_path_given_tau(r, ctx, grid, rng):
+def sample_path_given_tau(r, grid, rng):
     """Exact sequential bridge transitions for a fixed pinning horizon r.
 
     Given the value at t_k, the value at t_{k+1} < r is Gaussian with mean
@@ -307,7 +297,7 @@ def recover_b(path, drift_table):
     incr[full] = drift_table.evaluate(left, beta[full]) * width
     head = np.zeros(beta.shape[:-1] + (w + 1,))
     np.cumsum(incr, axis=-1, out=head[..., 1:])
-    return _held(head, m, full, len(knots)) + path.beta
+    return path.stopped(head) + path.beta
 
 
 def restrict_path(path, coarse_grid):

@@ -10,6 +10,10 @@ kernels: they draw and process every grid step, also those after the default
 time, and look credit cells up with ``np.searchsorted``.  The package stops
 at the step holding the default time and must match them bit for bit.
 
+The ``loop_write_*`` functions are the CSV artifacts written row by row,
+one ``format(float(v), ".17g")`` per value, the reference for the package's
+one row formatter (``ensemble.csv_rows``).
+
 ``adaptive_recover_b`` is one exception to the first rule: it reads the
 drift from the package's scalar law, per knot, as the reference for the
 tabulated drift that ``paths.recover_b`` interpolates.  ``general_density``
@@ -236,7 +240,7 @@ def full_curve_row(job, path):
            "beta": path.beta[at(job.s_nodes)]}
     if job.kh:
         window = window_rates(path, job.ctx, job.kh)
-        row["Kh"] = np.array([laplacian_approximation(path, h, job.ctx, window)[t_idx]
+        row["Kh"] = np.array([laplacian_approximation(path, h, window)[t_idx]
                               for h in job.kh])
     if job.drift_table is not None:
         b = full_grid_recover_b(path, job.drift_table)
@@ -250,3 +254,58 @@ def full_curve_row(job, path):
         row["lt_tan"] = np.array([full_grid_tanaka(path, x)[k]
                                   for k, (_, x) in zip(j, job.lt_probe)])
     return row
+
+
+# ---------------------------------------------------------------------------
+# CSV artifacts row by row
+# ---------------------------------------------------------------------------
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def loop_write_paths_csv(paths, fh):
+    fh.write("path_id,t,beta,in_default\n")
+    for i, p in enumerate(paths):
+        mask = p.grid.knots >= p.tau
+        for t, b, d in zip(p.grid.knots, p.beta, mask):
+            fh.write(f"{i},{_fmt(t)},{_fmt(b)},{1 if d else 0}\n")
+
+
+def loop_write_curves_csv(table, fh):
+    heads = "".join(f",Kh_{h:g}" for h in table.job.kh)
+    fh.write("path_id,t,H,K" + heads + "\n")
+    for i in range(table.n_paths):
+        for j, t in enumerate(table.job.times):
+            extra = "".join("," + _fmt(table.Kh[i, a, j])
+                            for a in range(len(table.job.kh)))
+            fh.write(f"{i},{_fmt(t)},{_fmt(table.H[i, j])},{_fmt(table.K[i, j])}"
+                     + extra + "\n")
+
+
+def loop_write_summary_csv(report, fh):
+    fh.write("t,mean_H,mean_K,F_t,stderr_H,stderr_K\n")
+    for j in range(len(report.times)):
+        fh.write(",".join(_fmt(v) for v in (
+            report.times[j], report.mean_H[j], report.mean_K[j], report.F[j],
+            report.stderr_H[j], report.stderr_K[j])) + "\n")
+
+
+def loop_write_residuals_csv(report, fh):
+    fh.write("s,t,functional,residual,stderr,pass\n")
+    for (s, t, label, res, se, ok) in report.residuals:
+        fh.write(f"{_fmt(s)},{_fmt(t)},{label},{_fmt(res)},{_fmt(se)},"
+                 f"{1 if ok else 0}\n")
+
+
+def loop_write_survival_csv(us, probs, fh):
+    fh.write("u,P_tau_gt_u\n")
+    for u, p in zip(us, probs):
+        fh.write(f"{_fmt(u)},{_fmt(p)}\n")
+
+
+def loop_write_convergence_csv(kh, times, gaps, fh):
+    fh.write("h,t,abs_gap_Kh_K\n")
+    for a, h in enumerate(kh):
+        for j, t in enumerate(times):
+            fh.write(f"{_fmt(h)},{_fmt(t)},{_fmt(gaps[a, j])}\n")

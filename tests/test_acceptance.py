@@ -106,7 +106,7 @@ def test_criterion_01_bridge_marginal_law(ctx_exp):
     j = grid.index_of(1.0)
     vals = np.empty(n)
     for i in range(n):
-        p = sample_path_given_tau(r, ctx_exp, grid, RandomStream(101, i))
+        p = sample_path_given_tau(r, grid, RandomStream(101, i))
         vals[i] = p.beta[j]
     mean, var = vals.mean(), vals.var(ddof=1)
     se_mean = vals.std(ddof=1) / math.sqrt(n)
@@ -275,7 +275,7 @@ def _kh_study(ctx, seed):
         floors[i] = abs(k_coarse - k_at_one(pf, _KH_DT / 2.0, w_fine))
         window = window_rates(pc, ctx, _KH_LAGS)
         for a, h in enumerate(_KH_LAGS):
-            kh = laplacian_approximation(pc, h, ctx, window)[pc.grid.index_of(1.0)]
+            kh = laplacian_approximation(pc, h, window)[pc.grid.index_of(1.0)]
             gaps[i, a] = abs(kh - k_coarse)
     return gaps.mean(axis=0), floors.mean()
 

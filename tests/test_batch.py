@@ -77,9 +77,12 @@ def test_batch_rows_equal_single_path_calls(drawn, x):
     def each(fn):
         return fn(batch), [fn(p) for p in singles]
 
-    # a curve of arbitrary values past each row's count is held from there
+    # a curve that holds its value past each row's count, as every curve
+    # routine's head does, is held from there on the whole grid
     w = max(p.live_steps for p in singles)
     head = np.random.default_rng(len(taus)).normal(size=(len(taus), w + 1))
+    for p, h in zip(singles, head):
+        h[p.live_steps + 1:] = h[p.live_steps]
     checks = {
         "stopped": (batch.stopped(head),
                     [p.stopped(h[:p.live_steps + 1]) for p, h in zip(singles, head)]),
@@ -133,7 +136,7 @@ def test_batch_window_rows_equal_single_path_calls(drawn, law, one_step):
     assert (window.rates.tobytes()
             == np.concatenate([r.rates for r in records], axis=1).tobytes())
     for h in LAGS:
-        got = laplacian_approximation(batch, h, ctx, window)
+        got = laplacian_approximation(batch, h, window)
         assert got.shape == (len(taus), len(grid.knots))
         for row, p, r in zip(got, singles, records):
-            assert row.tobytes() == laplacian_approximation(p, h, ctx, r).tobytes()
+            assert row.tobytes() == laplacian_approximation(p, h, r).tobytes()

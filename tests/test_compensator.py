@@ -123,7 +123,7 @@ def test_window_approximation_monotone_and_stopped(ctx_exp):
         p = sample_path_direct(ctx_exp, grid, RandomStream(43, i))
         if p.tau < 2.0:
             break
-    kh = laplacian_approximation(p, 0.1, ctx_exp, window_rates(p, ctx_exp, [0.1]))
+    kh = laplacian_approximation(p, 0.1, window_rates(p, ctx_exp, [0.1]))
     assert np.all(np.diff(kh) >= 0.0)
     j = int(np.searchsorted(p.grid.knots, p.tau))
     assert np.all(kh[j:] == kh[j])
@@ -152,7 +152,7 @@ def test_window_rejects_bad_lag(ctx_exp):
     window = window_rates(p, ctx_exp, [0.2, 0.1])
     for h in (0.0, -0.1, math.inf, math.nan, 0.05, 0.1 + 1e-12):
         with pytest.raises(DomainError):
-            laplacian_approximation(p, h, ctx_exp, window)
+            laplacian_approximation(p, h, window)
 
 
 def test_window_rejects_other_paths_survivor(ctx_exp):
@@ -166,7 +166,7 @@ def test_window_rejects_other_paths_survivor(ctx_exp):
     copy = InformationPath(p.tau, p.grid, p.beta.copy())
     for owner in (other, batch, copy):
         with pytest.raises(DomainError):
-            laplacian_approximation(p, 0.1, ctx_exp, window_rates(owner, ctx_exp, [0.1]))
+            laplacian_approximation(p, 0.1, window_rates(owner, ctx_exp, [0.1]))
 
 
 def test_ensemble_window_matches_path_curves(ctx_exp):
@@ -176,7 +176,7 @@ def test_ensemble_window_matches_path_curves(ctx_exp):
     for i in range(24):
         p = sample_path_direct(ctx_exp, job.grid, RandomStream(job.master_seed, i))
         window = window_rates(p, ctx_exp, job.kh)
-        curves = [laplacian_approximation(p, h, ctx_exp, window)[t_idx]
+        curves = [laplacian_approximation(p, h, window)[t_idx]
                   for h in job.kh]
         assert np.array_equal(table.Kh[i], np.array(curves))
 

@@ -1,11 +1,13 @@
 """Every top-level import in the package, the tests and the demos is used,
-the command line does not pull in scipy.stats, and it leaves the quadrature
-policy to its defaults.
+every function of the package reads each of its parameters, the command
+line does not pull in scipy.stats, and it leaves the quadrature policy to
+its defaults.
 
 A stdlib ``ast`` scan stands in for a linter: a name bound by a module-level
 ``import`` must be read somewhere in the module, or be listed in its
 ``__all__``.  The package ``__init__.py`` is exempt; its imports are the
-re-exported API.
+re-exported API.  A parameter other than ``self`` and ``cls`` must be read
+in the body of its function or lambda.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "infobridge").glob("*.py"))
 FILES = sorted(p for p in [*(ROOT / "src" / "infobridge").glob("*.py"),
                            *(ROOT / "tests").glob("*.py"),
                            *(ROOT / "demos").glob("*.py")]
@@ -40,6 +43,25 @@ def unused_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def unused_parameters(source):
+    """``(line, function, parameter)`` for every parameter of a function or
+    lambda in ``source`` that its body never reads, ``self`` and ``cls``
+    aside."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  *filter(None, (a.vararg, a.kwarg)))]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(fn.lineno, getattr(fn, "name", "<lambda>"), p) for p in params
+                  if p not in ("self", "cls", *read)]
+    return found
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
     assert unused_imports("from m import a\n__all__ = ['a']\n") == []
@@ -48,6 +70,19 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_an_unused_parameter():
+    source = ("def f(self, a, b, *c, d, **e):\n    return a + d\n"
+              "g = lambda x, y: x\n"
+              "def h(cls, z):\n    def inner(w):\n        return z + w\n    return inner\n")
+    assert unused_parameters(source) == [(1, "f", "b"), (1, "f", "c"), (1, "f", "e"),
+                                         (3, "<lambda>", "y")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_package_function_reads_its_parameters(path):
+    assert unused_parameters(path.read_text()) == []
 
 
 def test_cli_import_skips_scipy_stats():

@@ -148,7 +148,7 @@ def test_widest_configurable_band_does_not_overflow(ctx_exp):
 
 def test_tanaka_raw_is_zero_for_constant_sign(ctx_exp):
     grid = TimeGrid.regular(1.0, 0.01)
-    p = sample_path_given_tau(2.0, ctx_exp, grid, RandomStream(17, 0))
+    p = sample_path_given_tau(2.0, grid, RandomStream(17, 0))
     assert np.max(np.abs(full_grid_tanaka(p, -5.0, monotone=False))) < 1e-12
     assert np.max(np.abs(tanaka_estimate(p, -5.0).values)) < 1e-12
 

@@ -36,7 +36,7 @@ def _bridge_values(r, grid, master_seed, n_paths, idx):
     ctx = ModelContext(DefaultDistribution.exponential(1.0))
     out = np.empty((n_paths, len(idx)))
     for i in range(n_paths):
-        p = sample_path_given_tau(r, ctx, grid, RandomStream(master_seed, i))
+        p = sample_path_given_tau(r, grid, RandomStream(master_seed, i))
         out[i] = p.beta[idx]
     return out
 
@@ -171,7 +171,7 @@ def test_bridge_marginal_moments(ctx_exp):
 
 def test_bridge_zero_from_length_on(ctx_exp):
     grid = TimeGrid.regular(3.0, 0.25)
-    p = sample_path_given_tau(2.0, ctx_exp, grid, RandomStream(4, 0))
+    p = sample_path_given_tau(2.0, grid, RandomStream(4, 0))
     k = p.grid.knots
     assert np.all(p.beta[k >= 2.0] == 0.0)
     assert np.all(p.beta[(k > 0) & (k < 2.0)] != 0.0)
@@ -179,7 +179,7 @@ def test_bridge_zero_from_length_on(ctx_exp):
 
 def test_bridge_rejects_nonpositive_length(ctx_exp):
     with pytest.raises(DomainError):
-        sample_path_given_tau(0.0, ctx_exp, TimeGrid.regular(1.0, 0.1),
+        sample_path_given_tau(0.0, TimeGrid.regular(1.0, 0.1),
                               RandomStream(1, 0))
 
 
@@ -219,7 +219,7 @@ def test_paths_live_on_the_caller_grid(ctx_exp):
         assert q.grid is coarse
         paths += [p, q]
     for r in (0.013, 1.0, 1.5051, 2.0, 3.7):
-        p = sample_path_given_tau(r, ctx_exp, fine, RandomStream(607, 0))
+        p = sample_path_given_tau(r, fine, RandomStream(607, 0))
         assert p.grid is fine
         paths.append(p)
     taus = [p.tau for p in paths]

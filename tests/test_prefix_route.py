@@ -258,6 +258,26 @@ def test_recorded_groups_on_a_restricted_grid(monkeypatch):
         _rows_match(_job(ctx, coarse, estimator, **recorded), paths, monkeypatch)
 
 
+def test_window_recorded_at_the_first_step(monkeypatch):
+    # K^h's step out of time zero borrows the rate of step 1, so K^h recorded
+    # at knot 1 alone needs a head that reaches knot 2.
+    ctx = ModelContext(parse_distribution("exp:1.0"))
+    grid = TimeGrid.regular(1.0, 0.005)
+    knots = grid.knots
+    first = float(knots[1])
+    us = _defaults_around(ctx.dist, knots, (first, float(knots[2])))
+    paths = [sample_path_direct(ctx, grid, _StubGen(u, 70 + i)) for i, u in enumerate(us)]
+    paths += [sample_path_direct(ctx, grid, RandomStream(71, i)) for i in range(40)]
+    taus = np.array([p.tau for p in paths])
+    assert np.any(taus < first) and np.any((taus > first) & (taus < knots[2]))
+    job = _job(ctx, grid, "occupation", times=(first,), s_nodes=(first,),
+               kh=(0.2, 0.05), drift_table=None)
+    table = _rows_match(job, paths, monkeypatch)
+    # every row alive past knot 1 carries a rate into its first step
+    assert np.all(table.Kh[taus > first] > 0.0)
+    assert np.all(table.Kh[taus <= first] == 0.0)
+
+
 def _batched_paths(ctx, grid, sample, seed):
     """Paths filling two sub-batches of a chunk and part of a third; the
     first three rows of the second sub-batch default at time 0, exactly on
